@@ -7,9 +7,13 @@ Commands:
     trace <file>
     excision <file> [--max-degree N] [--format text|json] [--force]
 
-Exit codes: 0 ok, 1 assertion failure, 2 parse error, 3 degree cap
-exceeded.  All rationals appear as "p/q" strings; the text and JSON
-renderings are produced from the same report value.
+Exit codes: 0 ok; 1 invalid input (a non-associative algebra, an
+invalid extension) or a failed internal invariant (LiftFailure,
+ClosureViolation, WellDefinednessViolation, InducedMapNotWellDefined,
+SurrogateNotMet, CompositionNotZero), reported on one stderr line that
+names the layer; 2 parse or usage error (including a negative
+--max-degree); 3 degree cap exceeded.  All rationals appear as "p/q"
+strings; the text and JSON renderings come from the same report value.
 """
 
 from __future__ import annotations
@@ -19,19 +23,27 @@ import json
 import sys
 
 from .algebra import validate_algebra, validate_extension
-from .complexes import cohomology_dims, homology_dims
-from .excision import excision_report
+from .complexes import (
+    LiftFailure, WellDefinednessViolation, cohomology_dims, homology_dims,
+)
+from .excision import SurrogateNotMet, excision_report
 from .fileio import ParseError, load_document
 from .hochschild import (
-    DegreeCapExceeded, bar_complex, cyclic_complex, hochschild_complex,
-    trace_space,
+    ClosureViolation, DegreeCapExceeded, InducedMapNotWellDefined,
+    bar_complex, cyclic_complex, hochschild_complex, trace_space,
 )
-from .linalg import format_q
+from .linalg import CompositionNotZero, format_q
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+
+# raised only when an internal invariant breaks, never by bad input
+INVARIANT_FAILURES = (
+    LiftFailure, ClosureViolation, WellDefinednessViolation,
+    InducedMapNotWellDefined, SurrogateNotMet, CompositionNotZero,
+)
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄"
                            "₅₆₇₈₉")
@@ -82,6 +94,10 @@ def cmd_homology(args) -> int:
     kind, alg = load_document(args.file)
     if kind != "algebra":
         raise ParseError("%s: homology expects an algebra file" % args.file)
+    violations = validate_algebra(alg)
+    if violations:
+        raise ValueError("not an associative algebra: (ab)c != a(bc) for "
+                         "the basis triple %r" % (violations[0]["triple"],))
     n = args.max_degree
     K = _build_for_theory(alg, args.theory, n, args.force)
     dims = cohomology_dims(K, n) if args.dual else homology_dims(K, n)
@@ -159,6 +175,13 @@ def cmd_excision(args) -> int:
     return EXIT_FAIL if report["verdict"] == "theorem-violated" else EXIT_OK
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alghom",
@@ -169,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, theory=False, dual=False):
         p.add_argument("file", help="algebra or extension JSON file")
-        p.add_argument("--max-degree", type=int, default=3, metavar="N",
-                       help="top reported degree (default 3)")
+        p.add_argument("--max-degree", type=nonnegative_int, default=3,
+                       metavar="N", help="top reported degree (default 3)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--force", action="store_true",
                        help="override the degree cap")
@@ -215,6 +238,12 @@ def main(argv=None) -> int:
     except DegreeCapExceeded as exc:
         print("degree cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP
+    except INVARIANT_FAILURES as exc:
+        layer = type(exc).__module__.rsplit(".", 1)[-1]
+        message = " ".join(str(exc).split())
+        print("internal invariant failed in layer %s: %s: %s"
+              % (layer, type(exc).__name__, message), file=sys.stderr)
+        return EXIT_FAIL
 
 
 def entry():

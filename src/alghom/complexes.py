@@ -51,6 +51,7 @@ class ChainComplex:
                                  % (n, d.rows, d.cols, self.dims[n], self.dims[n + 1]))
         self.genuine_top = genuine_top
         self._homology = {}
+        self._dual = None
 
     @property
     def top_degree(self) -> int:
@@ -156,11 +157,18 @@ def dualize(K: ChainComplex) -> ChainComplex:
     """Dual cochain complex stored as a chain complex with reversed
     degrees: chain degree m corresponds to cohomological degree
     top_degree - m, so the same homology engine computes cohomology.
-    The reversed top (cohomological degree 0) is genuine."""
-    N = K.top_degree
-    dims = [K.dims[N - m] for m in range(N + 1)]
-    diffs = [K.diffs[N - 1 - m].transpose() for m in range(N)]
-    return ChainComplex(dims, diffs, genuine_top=True)
+    The reversed top (cohomological degree 0) is genuine.
+
+    The dual is built once and cached on K, so every caller (and every
+    dual chain map through dualize_map) shares one dual object and its
+    homology cache.  This relies on complexes never being mutated after
+    construction: no code changes dims or diffs of an existing complex."""
+    if K._dual is None:
+        N = K.top_degree
+        dims = [K.dims[N - m] for m in range(N + 1)]
+        diffs = [K.diffs[N - 1 - m].transpose() for m in range(N)]
+        K._dual = ChainComplex(dims, diffs, genuine_top=True)
+    return K._dual
 
 
 def cohomology_dims(K: ChainComplex, n_report: int):

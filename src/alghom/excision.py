@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    Algebra, Extension, UnitWitness, unit_witness, validate_extension,
-)
+from .algebra import Extension, unit_witness, validate_extension
 from .complexes import (
     ChainComplex, ChainMap, LongSequence, ShortExactSequenceOfComplexes,
     assemble_sequence, cohomology_dims, connecting_homomorphism, dualize,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, Extension
 from .complexes import ChainComplex, ChainMap, check_complex
 from .linalg import (
-    Matrix, Q, ZERO, ONE, Subspace, Cokernel,
+    Matrix, ZERO, ONE, Subspace,
     cokernel, hstack, image_basis, kernel_basis, kron, kron_power, rank,
 )
 
@@ -46,6 +46,8 @@ class DegreeCapExceeded(Exception):
 
 
 def check_degree_cap(dim: int, n_report: int, force: bool = False):
+    if n_report < 0:
+        raise ValueError("report degree must be >= 0, got %d" % n_report)
     n_internal = n_report + 2
     size = dim ** (n_internal + 1)
     if size > DEGREE_CAP and not force:
@@ -54,41 +56,12 @@ def check_degree_cap(dim: int, n_report: int, force: bool = False):
             "(cap %d); pass force to override" % (n_internal, dim, size, DEGREE_CAP))
 
 
-# -- chain-space indexing --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainSpaceIndex:
-    """Bijection between basis tensors and flat indices in degree n."""
-
-    dim: int
-    degree: int
-
-    @property
-    def size(self) -> int:
-        return self.dim ** (self.degree + 1)
-
-    def flat(self, factors) -> int:
-        idx = 0
-        for f in factors:
-            idx = idx * self.dim + f
-        return idx
-
-    def factors(self, flat: int):
-        out = []
-        for _ in range(self.degree + 1):
-            out.append(flat % self.dim)
-            flat //= self.dim
-        return tuple(reversed(out))
-
-
 # -- simplicial and bar complexes ------------------------------------
 
 
 def _chain_differential(A: Algebra, n: int, wrap: bool) -> Matrix:
     """d_n (or dr_n when wrap=False): C_{n+1}(A) -> C_n(A)."""
     d = A.dim
-    src = ChainSpaceIndex(d, n + 1)
     ents = {}
     if d == 0:
         return Matrix.zero(0, 0)

@@ -14,6 +14,7 @@ echelon form, so identical inputs give bit-identical bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 try:
     from gmpy2 import mpq as Q
@@ -65,7 +66,8 @@ class Matrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("entry index (%d,%d) out of bounds" % (r, c))
-                v = Q(v)
+                if type(v) is not Q:
+                    v = Q(v)
                 if v:
                     ents[(r, c)] = v
         self.entries = ents
@@ -124,12 +126,6 @@ class Matrix:
 
     def column(self, c: int) -> dict:
         return dict(self.column_dicts()[c])
-
-    def to_dense(self):
-        data = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            data[r][c] = v
-        return data
 
     # -- arithmetic ---------------------------------------------------
 
@@ -323,7 +319,10 @@ class Subspace:
     When the basis is in canonical echelon position, coordinate_rows
     lists one row index per basis column at which that column is 1 and
     all other columns vanish; coordinates of a member vector can then be
-    read off directly.
+    read off directly, in time proportional to the vector's nonzeros
+    (through a {row: basis index} map built once per subspace).  The
+    read-off is always followed by the membership check basis @ x == vec,
+    so a vector outside the subspace still gets None.
     """
 
     ambient_dim: int
@@ -338,11 +337,9 @@ class Subspace:
         """Coordinates of a sparse vector in the basis, or None if the
         vector is outside the subspace."""
         if self.coordinate_rows is not None:
-            x = {}
-            for k, r in enumerate(self.coordinate_rows):
-                v = vec.get(r)
-                if v:
-                    x[k] = v
+            index = self._row_index
+            x = dict(sorted((index[r], v) for r, v in vec.items()
+                            if v and r in index))
             # membership check: basis @ x must reproduce vec exactly
             if self.basis.apply_dict(x) != {r: v for r, v in vec.items() if v}:
                 return None
@@ -351,6 +348,10 @@ class Subspace:
         if sol is None:
             return None
         return sol.column(0)
+
+    @cached_property
+    def _row_index(self) -> dict:
+        return {r: k for k, r in enumerate(self.coordinate_rows)}
 
     def contains(self, vec: dict) -> bool:
         return self.coords(vec) is not None
@@ -421,15 +422,16 @@ def cokernel(M: Matrix) -> Cokernel:
     form of the column space; the section embeds those coordinates back.
     """
     pivots, _ = _rref_of_transpose(M)
-    pivot_coords = [c for c, _ in pivots]
-    pivot_set = set(pivot_coords)
+    pivot_set = {c for c, _ in pivots}
     free_coords = [q for q in range(M.rows) if q not in pivot_set]
-    ents = {}
-    for qi, q in enumerate(free_coords):
-        ents[(qi, q)] = ONE
-        for pc, row in pivots:
-            w = row.get(q)
-            if w:
+    free_index = {q: qi for qi, q in enumerate(free_coords)}
+    ents = {(qi, q): ONE for qi, q in enumerate(free_coords)}
+    # one pass over the nonzeros of the RREF: entry w of pivot row pc in
+    # free coordinate q puts -w at (index of q, pc) in the projection
+    for pc, row in pivots:
+        for q, w in row.items():
+            qi = free_index.get(q)
+            if qi is not None:
                 ents[(qi, pc)] = -w
     projection = Matrix(len(free_coords), M.rows, ents)
     section = Matrix(M.rows, len(free_coords),

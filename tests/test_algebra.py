@@ -26,6 +26,25 @@ def test_presets_associative(alg):
     assert validate_algebra(alg) == []
 
 
+def test_associativity_with_rational_constants():
+    # rescaling the basis of M_2(Q) by s gives constants s_i s_j / s_k
+    A = preset("matrix", k=2)
+    s = [Q(1, 2), Q(3), Q(-2, 5), Q(7, 3)]
+    mult = {(i, j): {k: s[i] * s[j] / s[k] * c for k, c in comp.items()}
+            for (i, j), comp in A.mult.items()}
+    assert validate_algebra(Algebra(A.dim, A.basis_names, mult)) == []
+    key = next(iter(mult))
+    mult[key] = {k: c + Q(1, 3) for k, c in mult[key].items()}
+    bad = Algebra(A.dim, A.basis_names, mult)
+    violations = validate_algebra(bad)
+    assert violations
+    for v in violations:
+        i, j, k = v["triple"]
+        assert v["left"] == bad.product(bad.product_basis(i, j), {k: ONE})
+        assert v["right"] == bad.product({i: ONE}, bad.product_basis(j, k))
+        assert v["left"] != v["right"]
+
+
 def test_corrupted_structure_constant_detected():
     # break associativity in the 2x2 matrix algebra
     A = preset("matrix", k=2)
@@ -90,6 +109,19 @@ def test_validate_extension_rejects_broken_maps():
     wrong_i = AlgebraHom(ext.B, ext.A, Matrix.zero(ext.A.dim, ext.B.dim))
     bad = Extension(ext.B, ext.A, ext.D, wrong_i, ext.j)
     assert validate_extension(bad) is not None
+
+
+def test_validate_extension_checks_associativity():
+    # e1 e1 = e0 + e1, e1 e0 = e0: (e1 e1) e1 != e1 (e1 e1), while i and
+    # j are multiplicative and Im i = Ker j is an ideal
+    B = Algebra(1)
+    A = Algebra(2, mult={(1, 1): {0: 1, 1: 1}, (1, 0): {0: 1}})
+    D = Algebra(1, mult={(0, 0): {0: 1}})
+    i = AlgebraHom(B, A, Matrix.from_dense([[1], [0]]))
+    j = AlgebraHom(A, D, Matrix.from_dense([[0, 1]]))
+    bad = validate_extension(Extension(B, A, D, i, j))
+    assert bad is not None and bad["invariant"] == "A associative"
+    assert bad["detail"]["triple"] == (1, 1, 1)
 
 
 def test_hom_multiplicativity_check():

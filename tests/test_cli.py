@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from alghom import cli
 from alghom.cli import main
+from alghom.complexes import LiftFailure
 from alghom.corpus import build
 from alghom.excision import excision_report
 from alghom.fileio import dump_document
@@ -28,6 +30,24 @@ def e1_file(tmp_path):
 def e2_file(tmp_path):
     path = tmp_path / "e2.json"
     dump_document(build("nilpotent_corner"), str(path))
+    return str(path)
+
+
+# A = span{e0, e1} with e1 e1 = e0 + e1 and e1 e0 = e0 is not associative:
+# (e1 e1) e1 = e0 + e1 but e1 (e1 e1) = 2 e0 + e1.  B and D are fine and
+# i, j are multiplicative, so only the associativity check catches it.
+NON_ASSOCIATIVE_A = {"dim": 2, "mult": [[1, 1, {"1": "1", "0": "1"}],
+                                        [1, 0, {"0": "1"}]]}
+
+
+@pytest.fixture
+def non_associative_ext_file(tmp_path):
+    path = tmp_path / "nonassoc_ext.json"
+    path.write_text(json.dumps({
+        "B": {"dim": 1, "mult": []},
+        "A": NON_ASSOCIATIVE_A,
+        "D": {"dim": 1, "mult": [[0, 0, {"0": "1"}]]},
+        "i": [["1"], ["0"]], "j": [["0", "1"]]}))
     return str(path)
 
 
@@ -140,3 +160,51 @@ def test_report_determinism(capsys, e1_file):
     _, out1, _ = run(capsys, "excision", e1_file, "--format", "json")
     _, out2, _ = run(capsys, "excision", e1_file, "--format", "json")
     assert out1 == out2
+
+
+def test_validate_rejects_non_associative_extension(capsys,
+                                                    non_associative_ext_file):
+    code, out, _ = run(capsys, "validate", non_associative_ext_file)
+    assert code == 1
+    assert "A associative" in out
+    assert len(out.strip().splitlines()) == 1
+
+
+def test_excision_rejects_non_associative_extension(capsys,
+                                                    non_associative_ext_file):
+    code, out, err = run(capsys, "excision", non_associative_ext_file)
+    assert code == 1
+    assert out == ""
+    assert "A associative" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_homology_rejects_non_associative_algebra(capsys, tmp_path):
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps(NON_ASSOCIATIVE_A))
+    code, out, err = run(capsys, "homology", str(path))
+    assert code == 1
+    assert out == ""
+    assert "associativ" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["homology", "excision"])
+def test_negative_max_degree_is_usage_error(capsys, m2_file, e1_file, command):
+    path = m2_file if command == "homology" else e1_file
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--max-degree", "-3"])
+    assert exc.value.code == 2
+    assert "--max-degree" in capsys.readouterr().err
+
+
+def test_internal_invariant_failure_exits_one(capsys, monkeypatch, e1_file):
+    def broken(*args, **kwargs):
+        raise LiftFailure("cycle of L in degree 2\nhas no preimage")
+    monkeypatch.setattr(cli, "excision_report", broken)
+    code, out, err = run(capsys, "excision", e1_file)
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "internal invariant failed in layer complexes: LiftFailure: "
+        "cycle of L in degree 2 has no preimage"]

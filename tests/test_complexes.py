@@ -82,6 +82,17 @@ def test_dualize_reverses_and_transposes():
     assert D.genuine_top
 
 
+def test_dualize_is_cached_and_shared_by_dual_maps():
+    ses = random_ses(5)
+    assert dualize(ses.P) is dualize(ses.P)
+    dual = dualize_map(ses.inj)
+    assert dual.source is dualize(ses.P)
+    assert dual.target is dualize(ses.K)
+    # the homology cache of the shared dual survives between calls
+    homology_at(dualize(ses.P), 0)
+    assert 0 in dualize_map(ses.surj).target._homology
+
+
 @settings(max_examples=30, deadline=None)
 @given(seeds)
 def test_ses_generator_valid(seed):

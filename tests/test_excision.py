@@ -163,3 +163,8 @@ def test_report_json_compatible_and_deterministic():
 
 def test_surrogate_note_present():
     assert "surrogate" in report("split_product")["surrogate_note"]
+
+
+def test_report_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        excision_report(build("split_product"), -1)

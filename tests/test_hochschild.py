@@ -159,3 +159,10 @@ def test_degree_cap():
     check_degree_cap(big.dim, 3, force=True)
     with pytest.raises(DegreeCapExceeded):
         hochschild_complex(big, 3)
+
+
+def test_negative_degree_rejected():
+    with pytest.raises(ValueError):
+        check_degree_cap(2, -1)
+    with pytest.raises(ValueError):
+        hochschild_complex(preset("field"), -3)

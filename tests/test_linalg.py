@@ -12,9 +12,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from alghom.linalg import (
-    CompositionNotZero, Matrix, ONE, Q, ZERO, cokernel, exactness_defect,
-    format_q, hstack, image_basis, kernel_basis, kron, kron_power, parse_q,
-    rank, solve, solve_many,
+    CompositionNotZero, Matrix, ONE, Q, Subspace, ZERO, _rref_of_transpose,
+    cokernel, exactness_defect, format_q, hstack, image_basis, kernel_basis,
+    kron, kron_power, parse_q, rank, solve, solve_many,
 )
 
 
@@ -174,3 +174,93 @@ def test_matmul_associativity_spot():
     B = random_matrix(rng, 5, 3)
     C = random_matrix(rng, 3, 6)
     assert (A @ B) @ C == A @ (B @ C)
+
+
+# -- fast paths against the constructions they replace ----------------
+
+
+def subspaces_of(M):
+    return [kernel_basis(M), image_basis(M)]
+
+
+def random_combination(sub, rng):
+    coeffs = {k: Q(rng.randint(-3, 3)) for k in range(sub.dim)}
+    return sub.basis.apply_dict({k: v for k, v in coeffs.items() if v})
+
+
+def is_member(sub, vec):
+    with_vec = hstack([sub.basis, Matrix.from_columns(sub.ambient_dim, [vec])])
+    return rank(with_vec) == sub.dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices, st.integers(0, 10 ** 6))
+def test_coords_read_off_agrees_with_solve(M, seed):
+    rng = random.Random(seed)
+    for sub in subspaces_of(M):
+        solved = Subspace(sub.ambient_dim, sub.basis, coordinate_rows=None)
+        for _ in range(3):
+            vec = random_combination(sub, rng)
+            assert sub.coords(vec) == solved.coords(vec)
+            # explicit zeros change nothing for a member
+            padded = dict(vec)
+            for r in range(sub.ambient_dim):
+                padded.setdefault(r, ZERO)
+            assert sub.coords(padded) == solved.coords(vec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices, st.integers(0, 10 ** 6))
+def test_coords_rejects_non_members(M, seed):
+    rng = random.Random(seed)
+    for sub in subspaces_of(M):
+        rows = set(sub.coordinate_rows)
+        # a nonzero vector supported off the coordinate rows reads zero
+        # coordinates, so only the membership check can reject it
+        for r in range(sub.ambient_dim):
+            if r not in rows:
+                assert sub.coords({r: Q(rng.randint(1, 3))}) is None
+                assert not is_member(sub, {r: ONE})
+        for _ in range(3):
+            vec = random_combination(sub, rng)
+            vec[rng.randrange(sub.ambient_dim)] = Q(rng.randint(-3, 3))
+            vec = {r: v for r, v in vec.items() if v}
+            if is_member(sub, vec):
+                continue
+            assert sub.coords(vec) is None
+            padded = dict(vec)
+            for r in rows:
+                padded.setdefault(r, ZERO)
+            assert sub.coords(padded) is None
+
+
+def cokernel_projection_oracle(M):
+    """Reference projection: for each free coordinate, look it up in
+    every pivot row of the RREF (free coordinates x pivots)."""
+    pivots, _ = _rref_of_transpose(M)
+    pivot_set = {c for c, _ in pivots}
+    free_coords = [q for q in range(M.rows) if q not in pivot_set]
+    ents = {}
+    for qi, q in enumerate(free_coords):
+        ents[(qi, q)] = ONE
+        for pc, row in pivots:
+            w = row.get(q)
+            if w:
+                ents[(qi, pc)] = -w
+    return Matrix(len(free_coords), M.rows, ents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_cokernel_projection_matches_double_loop(M):
+    assert cokernel(M).projection == cokernel_projection_oracle(M)
+
+
+def test_matrix_constructor_checks_and_converts():
+    with pytest.raises(ValueError):
+        Matrix(2, 2, {(2, 0): ONE})
+    with pytest.raises(ValueError):
+        Matrix(2, 2, {(0, -1): ONE})
+    M = Matrix(2, 2, {(0, 0): 3, (0, 1): "2/4", (1, 0): 0, (1, 1): Q(0)})
+    assert M.entries == {(0, 0): Q(3), (0, 1): Q(1, 2)}
+    assert all(type(v) is Q for v in M.entries.values())
