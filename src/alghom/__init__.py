@@ -12,7 +12,6 @@ from .complexes import (
 from .excision import (
     amenable_scenario_check, check_bar_invariance,
     check_hlgy_cohlgy_equivalence, excision_report,
-    traceless_scenario_check,
 )
 from .hochschild import (
     bar_complex, cyclic_complex, hochschild_complex, trace_space,

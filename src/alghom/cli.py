@@ -75,7 +75,7 @@ def cmd_validate(args) -> int:
         return EXIT_OK
     bad = validate_extension(obj)
     if bad is not None:
-        print("invalid extension: %s" % json.dumps(bad, default=repr))
+        print("invalid extension: %s" % json.dumps(bad, default=format_q))
         return EXIT_FAIL
     print("valid extension: dims B=%d A=%d D=%d"
           % (obj.B.dim, obj.A.dim, obj.D.dim))

@@ -10,6 +10,11 @@ The report separates three layers that must not be conflated:
   3. the hypothesis verdicts (one-sided unit of B, vanishing of the bar
      homology of B) that guarantee layer 2.
 
+excision_report builds each theory's complexes once and reads the bar
+data off the bar theory.  check_hlgy_cohlgy_equivalence is a view of a
+report and builds nothing; check_bar_invariance and
+amenable_scenario_check are standalone checks.
+
 A finite-dimensional surrogate note is attached to every report: the
 "bounded approximate identity" hypothesis is modeled as an exact
 one-sided unit, and "amenable" as a unital algebra with vanishing
@@ -18,6 +23,7 @@ higher simplicial homology.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .algebra import Extension, unit_witness, validate_extension
@@ -39,8 +45,18 @@ SURROGATE_NOTE = (
     "higher simplicial homology; all exactness verdicts are exact over Q")
 
 
+THEORIES = ("simplicial", "bar", "cyclic")
+
+
 class SurrogateNotMet(Exception):
     """A scenario check's finite-dimensional precondition fails."""
+
+
+def _require_valid(ext: Extension):
+    bad = validate_extension(ext)
+    if bad is not None:
+        raise ValueError("invalid extension: %s"
+                         % json.dumps(bad, default=format_q))
 
 
 @dataclass
@@ -79,8 +95,7 @@ def build_theory(ext: Extension, n_report: int, theory: str,
         CA = build(ext.A, n_report, force)
         CB = build(ext.B, n_report, force)
         CD = build(ext.D, n_report, force)
-        sub, incl, comp = kernel_subcomplex(ext, n_report, theory, force,
-                                            prebuilt=(CA, CB))
+        sub, incl, comp = kernel_subcomplex(ext, CA, CB)
         map_ba = ChainMap(CB, CA, [kron_power(ext.i.matrix, n + 1) for n in degs])
         map_ad = ChainMap(CA, CD, [kron_power(ext.j.matrix, n + 1) for n in degs])
     elif theory == "cyclic":
@@ -88,7 +103,7 @@ def build_theory(ext: Extension, n_report: int, theory: str,
         CB, quot_b = cyclic_complex(ext.B, n_report, force)
         CD, quot_d = cyclic_complex(ext.D, n_report, force)
         sub, incl, comp = cyclic_kernel_subcomplex(
-            ext, n_report, force, prebuilt=((CA, quot_a), (CB, quot_b)))
+            ext, (CA, quot_a), (CB, quot_b))
         map_ba = ChainMap(CB, CA, [
             quot_a[n].projection @ kron_power(ext.i.matrix, n + 1)
             @ quot_b[n].section for n in degs])
@@ -222,29 +237,14 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
     defects in all six candidates is an assertable conclusion, not an
     assumption; a nonzero defect then means the implementation is wrong
     and the verdict says so."""
-    bad = validate_extension(ext)
-    if bad is not None:
-        raise ValueError("invalid extension: %r" % (bad,))
+    _require_valid(ext)
     check_degree_cap(ext.A.dim, n_report, force)
-
-    unit = unit_witness(ext.B)
-    bar_b = homology_dims(bar_complex(ext.B, n_report, force), n_report)
-    hypothesis_met = unit.found
-    hypothesis = {
-        "unit": {"side": unit.side,
-                 "element": [format_q(x) for x in unit.element]
-                            if unit.element is not None else None},
-        "bar_homology_B": bar_b,
-        "met": hypothesis_met,
-        "bar_homology_vanishes": all(d == 0 for d in bar_b),
-    }
 
     sequences = []
     snake_sequences = []
     comparison = {}
     betti_ok = True
-    theories = ("simplicial", "bar", "cyclic")
-    for theory in theories:
+    for theory in THEORIES:
         td = build_theory(ext, n_report, theory, force)
         hom, hconv = candidate_homology_sequence(td, n_report)
         coh, cconv = candidate_cohomology_sequence(td, n_report)
@@ -254,10 +254,22 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
         comparison["%s_quasi_iso" % theory] = check_quasi_isomorphism(
             td.comp, n_report)
         betti_ok = betti_ok and _betti_duality_ok(td, n_report)
-        if theory == "simplicial":
-            hr_a = homology_dims(bar_complex(ext.A, n_report, force), n_report)
-            hr_d = homology_dims(bar_complex(ext.D, n_report, force), n_report)
+        if theory == "bar":
+            # the vanishing of the bar homology of B is H-unitality
+            bar_b = homology_dims(td.CB, n_report)
+            hr_a = homology_dims(td.CA, n_report)
+            hr_d = homology_dims(td.CD, n_report)
 
+    unit = unit_witness(ext.B)
+    hypothesis_met = unit.found
+    hypothesis = {
+        "unit": {"side": unit.side,
+                 "element": [format_q(x) for x in unit.element]
+                            if unit.element is not None else None},
+        "bar_homology_B": bar_b,
+        "met": hypothesis_met,
+        "bar_homology_vanishes": all(d == 0 for d in bar_b),
+    }
     bar_invariance = {
         "HR_A": hr_a,
         "HR_D": hr_d,
@@ -295,37 +307,27 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
 # -- equivalence and scenario checks ---------------------------------
 
 
-def check_hlgy_cohlgy_equivalence(ext: Extension, n_report: int = 3,
-                                  force: bool = False) -> dict:
+def check_hlgy_cohlgy_equivalence(report: dict) -> dict:
     """Homology-side exactness iff cohomology-side exactness, per
     theory, over the safe window; plus the Betti-duality cross check
-    that drives the equivalence."""
-    bad = validate_extension(ext)
-    if bad is not None:
-        raise ValueError("invalid extension: %r" % (bad,))
-    out = {"theories": {}, "equivalent": True, "betti_duality_ok": True}
-    for theory in ("simplicial", "bar", "cyclic"):
-        td = build_theory(ext, n_report, theory, force)
-        hom, _ = candidate_homology_sequence(td, n_report)
-        coh, _ = candidate_cohomology_sequence(td, n_report)
-        hom_rec = _sequence_record("h", hom)
-        coh_rec = _sequence_record("c", coh)
-        agree = hom_rec["exact"] == coh_rec["exact"]
-        out["theories"][theory] = {
-            "homology_exact": hom_rec["exact"],
-            "cohomology_exact": coh_rec["exact"],
-            "equivalent": agree,
-        }
-        out["equivalent"] = out["equivalent"] and agree
-        out["betti_duality_ok"] = (out["betti_duality_ok"]
-                                   and _betti_duality_ok(td, n_report))
+    that drives the equivalence.  A view of an excision_report result:
+    it reads the candidate sequences' verdicts and computes nothing."""
+    exact = {rec["name"]: rec["exact"] for rec in report["sequences"]}
+    theories = {}
+    for theory in THEORIES:
+        hom = exact["%s homology" % theory]
+        coh = exact["%s cohomology" % theory]
+        theories[theory] = {"homology_exact": hom, "cohomology_exact": coh,
+                            "equivalent": hom == coh}
+    equivalent = all(t["equivalent"] for t in theories.values())
     verdict = "equivalent-and-exact"
-    if not all(t["homology_exact"] for t in out["theories"].values()):
+    if not all(t["homology_exact"] for t in theories.values()):
         verdict = "equivalent-and-inexact"
-    if not out["equivalent"]:
+    if not equivalent:
         verdict = "not-equivalent"
-    out["verdict"] = verdict
-    return out
+    return {"theories": theories, "equivalent": equivalent,
+            "betti_duality_ok": report["betti_duality_ok"],
+            "verdict": verdict}
 
 
 def check_bar_invariance(ext: Extension, n_report: int = 3,
@@ -333,10 +335,10 @@ def check_bar_invariance(ext: Extension, n_report: int = 3,
     """dim HR_n(A) = dim HR_n(D) under the hypothesis; reported
     informationally when the hypothesis is unmet."""
     unit = unit_witness(ext.B)
-    hr_a = homology_dims(bar_complex(ext.A, n_report, force), n_report)
-    hr_d = homology_dims(bar_complex(ext.D, n_report, force), n_report)
-    dual_a = cohomology_dims(bar_complex(ext.A, n_report, force), n_report)
-    dual_d = cohomology_dims(bar_complex(ext.D, n_report, force), n_report)
+    K = bar_complex(ext.A, n_report, force)
+    hr_a, dual_a = homology_dims(K, n_report), cohomology_dims(K, n_report)
+    K = bar_complex(ext.D, n_report, force)
+    hr_d, dual_d = homology_dims(K, n_report), cohomology_dims(K, n_report)
     out = {
         "in_hypothesis": unit.found,
         "HR_A": hr_a, "HR_D": hr_d,
@@ -350,33 +352,17 @@ def check_bar_invariance(ext: Extension, n_report: int = 3,
     return out
 
 
-def _simplicial_cohomology_data(ext: Extension, n_report: int, force: bool):
-    td = build_theory(ext, n_report, "simplicial", force)
-    seq, conv = candidate_cohomology_sequence(td, n_report)
-    return td, seq, conv
-
-
 def amenable_scenario_check(ext: Extension, n_report: int = 3,
-                            force: bool = False,
-                            variant: str = "ideal") -> dict:
+                            force: bool = False) -> dict:
     """Consequences of an 'amenable' ideal in the finite-dimensional
     surrogate sense (B has a two-sided unit and H_n(B) = 0 for n >= 1):
     dim H^n(A) = dim H^n(D) for n >= 2, the five-term trace sequence
     0 -> D^tr -> A^tr -> B^tr -> H^1(D) -> H^1(A) -> 0 is exact, and
-    the cyclic six-term pattern holds.
-
-    With variant='quotient' the roles swap (D amenable instead of B);
-    only the computed dimension tables are reported, with no exactness
-    claim beyond them."""
-    bad = validate_extension(ext)
-    if bad is not None:
-        raise ValueError("invalid extension: %r" % (bad,))
-    if variant == "quotient":
-        return _amenable_quotient_variant(ext, n_report, force)
-    if variant != "ideal":
-        raise ValueError("variant must be 'ideal' or 'quotient'")
+    the cyclic six-term pattern holds."""
+    _require_valid(ext)
+    td = build_theory(ext, n_report, "simplicial", force)
     unit = unit_witness(ext.B)
-    hb = homology_dims(hochschild_complex(ext.B, n_report, force), n_report)
+    hb = homology_dims(td.CB, n_report)
     if ext.B.dim > 0 and (unit.side != "two-sided"
                           or any(d != 0 for d in hb[1:])):
         raise SurrogateNotMet(
@@ -384,8 +370,7 @@ def amenable_scenario_check(ext: Extension, n_report: int = 3,
             "(two-sided unit + vanishing higher homology); unit=%s, H=%r"
             % (unit.side, hb))
 
-    td, seq, conv = _simplicial_cohomology_data(ext, n_report, force)
-    N = td.CA.top_degree
+    seq, _ = candidate_cohomology_sequence(td, n_report)
     coh_a = cohomology_dims(td.CA, n_report)
     coh_d = cohomology_dims(td.CD, n_report)
     coh_b = cohomology_dims(td.CB, n_report)
@@ -433,64 +418,4 @@ def amenable_scenario_check(ext: Extension, n_report: int = 3,
         "cyclic_B_pattern_ok": pattern_ok,
         "cyclic_candidate_exact": cyc_rec["exact"],
         "pass": ok,
-    }
-
-
-def _amenable_quotient_variant(ext: Extension, n_report: int,
-                               force: bool) -> dict:
-    """Role-swapped amenability pattern: the quotient D (rather than
-    the ideal B) satisfies the surrogate.  Reported informationally --
-    dimension tables and their comparisons, nothing stronger."""
-    unit = unit_witness(ext.D)
-    hd = homology_dims(hochschild_complex(ext.D, n_report, force), n_report)
-    if ext.D.dim > 0 and (unit.side != "two-sided" or any(d != 0 for d in hd[1:])):
-        raise SurrogateNotMet(
-            "quotient is not amenable in the surrogate sense "
-            "(two-sided unit + vanishing higher homology); unit=%s, H=%r"
-            % (unit.side, hd))
-    coh_a = cohomology_dims(hochschild_complex(ext.A, n_report, force), n_report)
-    coh_b = cohomology_dims(hochschild_complex(ext.B, n_report, force), n_report)
-    return {
-        "surrogate": ("quotient variant: two-sided unit of D + vanishing "
-                      "higher simplicial homology of D"),
-        "variant": "quotient",
-        "H_dual_A": coh_a, "H_dual_B": coh_b,
-        "high_degrees_equal": all(coh_a[n] == coh_b[n]
-                                  for n in range(2, n_report + 1)),
-        "trace_dims": {"D_tr": trace_space(ext.D).dim,
-                       "A_tr": trace_space(ext.A).dim,
-                       "B_tr": trace_space(ext.B).dim},
-        "pass": None,
-    }
-
-
-def traceless_scenario_check(ext: Extension, n_report: int = 3,
-                             force: bool = False) -> dict:
-    """Consequences of a traceless ideal: dim H^n(A) = dim H^n(D) and
-    dim HC^n(A) = dim HC^n(D) in all reported degrees.  The surrogate
-    (B unital with zero trace space and vanishing homology) is met by no
-    nonzero finite-dimensional rational algebra, which the check
-    documents by raising SurrogateNotMet."""
-    bad = validate_extension(ext)
-    if bad is not None:
-        raise ValueError("invalid extension: %r" % (bad,))
-    if ext.B.dim > 0:
-        unit = unit_witness(ext.B)
-        tr = trace_space(ext.B).dim
-        hb = homology_dims(hochschild_complex(ext.B, n_report, force), n_report)
-        if unit.side != "two-sided" or tr != 0 or any(hb):
-            raise SurrogateNotMet(
-                "ideal is not traceless-with-vanishing-homology: unit=%s, "
-                "trace dim=%d, H=%r" % (unit.side, tr, hb))
-    coh_a = cohomology_dims(hochschild_complex(ext.A, n_report, force), n_report)
-    coh_d = cohomology_dims(hochschild_complex(ext.D, n_report, force), n_report)
-    CCA, _ = cyclic_complex(ext.A, n_report, force)
-    CCD, _ = cyclic_complex(ext.D, n_report, force)
-    hc_a = cohomology_dims(CCA, n_report)
-    hc_d = cohomology_dims(CCD, n_report)
-    return {
-        "surrogate": "unital + zero trace space + vanishing homology",
-        "H_dual_equal": coh_a == coh_d,
-        "HC_dual_equal": hc_a == hc_d,
-        "pass": coh_a == coh_d and hc_a == hc_d,
     }

@@ -219,25 +219,16 @@ def _restrict_to_kernels(C_A: ChainComplex, kernels, what: str):
     return ChainComplex(dims, diffs)
 
 
-def kernel_subcomplex(ext: Extension, n_report: int, theory: str = "simplicial",
-                      force: bool = False, prebuilt=None):
-    """The subcomplex Ker(j (x) ... (x) j) of the chain complex of A,
-    with the comparison chain map from the corresponding complex of B.
-
-    theory selects the differential: 'simplicial' (with wrap-around) or
-    'bar'.  prebuilt, when given, is (C_A, C_B) to avoid rebuilding.
-    Returns (subcomplex, inclusion into C(A), comparison map
-    C(B) -> subcomplex)."""
-    wrap = {"simplicial": True, "bar": False}[theory]
-    if prebuilt is not None:
-        C_A, C_B = prebuilt
-    else:
-        C_A = _build_complex(ext.A, n_report, wrap, force)
-        C_B = _build_complex(ext.B, n_report, wrap, force)
-    n_internal = n_report + 2
+def kernel_subcomplex(ext: Extension, C_A: ChainComplex, C_B: ChainComplex):
+    """The subcomplex Ker(j (x) ... (x) j) of C_A, the simplicial or bar
+    complex of ext.A, with the comparison chain map from C_B, the
+    complex of ext.B built with the same differential and degree.
+    Returns (subcomplex, inclusion into C_A, comparison map
+    C_B -> subcomplex)."""
+    n_internal = C_A.top_degree
     kernels = [kernel_basis(kron_power(ext.j.matrix, n + 1))
                for n in range(n_internal + 1)]
-    sub = _restrict_to_kernels(C_A, kernels, theory)
+    sub = _restrict_to_kernels(C_A, kernels, "chain")
     inclusion = ChainMap(sub, C_A, [k.basis for k in kernels])
     comp_cols = []
     for n in range(n_internal + 1):
@@ -286,19 +277,16 @@ def verify_kernel_span(ext: Extension, n: int):
     return None
 
 
-def cyclic_kernel_subcomplex(ext: Extension, n_report: int, force: bool = False,
-                             prebuilt=None):
+def cyclic_kernel_subcomplex(ext: Extension, cyclic_A, cyclic_B):
     """Image of Ker(j^(x)(n+1)) in the cyclic quotient CC(A), with the
     induced differential and the comparison map from CC(B).
 
-    prebuilt, when given, is ((CC_A, quot_A), (CC_B, quot_B)).
+    cyclic_A and cyclic_B are the (complex, quotient data) pairs that
+    cyclic_complex returns for ext.A and ext.B at the same degree.
     Returns (subcomplex, inclusion into CC(A), comparison map)."""
-    if prebuilt is not None:
-        (CC_A, quot_A), (CC_B, quot_B) = prebuilt
-    else:
-        CC_A, quot_A = cyclic_complex(ext.A, n_report, force)
-        CC_B, quot_B = cyclic_complex(ext.B, n_report, force)
-    n_internal = n_report + 2
+    CC_A, quot_A = cyclic_A
+    CC_B, quot_B = cyclic_B
+    n_internal = CC_A.top_degree
     kernels = []
     for n in range(n_internal + 1):
         J = kron_power(ext.j.matrix, n + 1)

@@ -16,7 +16,8 @@ from alghom.excision import (
     amenable_scenario_check, check_hlgy_cohlgy_equivalence, excision_report,
 )
 from alghom.hochschild import (
-    bar_complex, cyclic_complex, kernel_subcomplex, verify_kernel_span,
+    bar_complex, cyclic_complex, hochschild_complex, kernel_subcomplex,
+    verify_kernel_span,
 )
 
 from support import prop_window_check, snake_check
@@ -96,7 +97,7 @@ def test_criterion_5_homology_cohomology_equivalence():
     agree = 0
     betti = True
     for name in sorted(CORPUS):
-        eq = check_hlgy_cohlgy_equivalence(build(name), 3)
+        eq = check_hlgy_cohlgy_equivalence(excision_report(build(name), 3))
         if eq["equivalent"]:
             agree += 1
         betti = betti and eq["betti_duality_ok"]
@@ -134,7 +135,8 @@ def test_criterion_8_kernel_span_verification():
         for n in range(1, 4):
             if verify_kernel_span(ext, n) is not None:
                 failures.append((name, n))
-        sub, _, _ = kernel_subcomplex(ext, 2)
+        sub, _, _ = kernel_subcomplex(
+            ext, hochschild_complex(ext.A, 2), hochschild_complex(ext.B, 2))
         a, b = ext.A.dim, ext.B.dim
         for n in range(sub.top_degree + 1):
             if sub.dims[n] != a ** (n + 1) - (a - b) ** (n + 1):

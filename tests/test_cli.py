@@ -179,6 +179,16 @@ def test_excision_rejects_non_associative_extension(capsys,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "excision"])
+def test_invalid_extension_message_renders_rationals(
+        capsys, non_associative_ext_file, command):
+    code, out, err = run(capsys, command, non_associative_ext_file)
+    assert code == 1
+    message = out + err
+    assert '"0": "2"' in message
+    assert "Fraction(" not in message
+
+
 def test_homology_rejects_non_associative_algebra(capsys, tmp_path):
     path = tmp_path / "nonassoc.json"
     path.write_text(json.dumps(NON_ASSOCIATIVE_A))

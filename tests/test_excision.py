@@ -10,11 +10,11 @@ import functools
 
 import pytest
 
+from alghom import excision
 from alghom.corpus import CORPUS, FAILURE_CORPUS, UNITAL_CORPUS, build
 from alghom.excision import (
-    SurrogateNotMet, amenable_scenario_check, check_bar_invariance,
+    THEORIES, SurrogateNotMet, amenable_scenario_check, check_bar_invariance,
     check_hlgy_cohlgy_equivalence, excision_report,
-    traceless_scenario_check,
 )
 
 
@@ -23,9 +23,8 @@ def report(name):
     return excision_report(build(name), 3)
 
 
-@functools.lru_cache(maxsize=None)
 def equivalence(name):
-    return check_hlgy_cohlgy_equivalence(build(name), 3)
+    return check_hlgy_cohlgy_equivalence(report(name))
 
 
 @pytest.mark.parametrize("name", sorted(UNITAL_CORPUS))
@@ -130,30 +129,6 @@ def test_amenable_scenario_rejects_nilpotent_ideal():
         amenable_scenario_check(build("nilpotent_corner"), 3)
 
 
-def test_amenable_quotient_variant():
-    out = amenable_scenario_check(build("split_product"), 3,
-                                  variant="quotient")
-    assert out["variant"] == "quotient"
-    assert out["high_degrees_equal"]
-    assert out["pass"] is None
-
-
-def test_traceless_scenario_never_met_on_presets():
-    """No nonzero finite-dimensional rational algebra is unital with a
-    zero trace space and vanishing homology; the check documents this."""
-    for name in sorted(CORPUS):
-        ext = build(name)
-        if ext.B.dim == 0:
-            continue
-        with pytest.raises(SurrogateNotMet):
-            traceless_scenario_check(ext, 3)
-
-
-def test_traceless_scenario_vacuous_for_zero_ideal():
-    out = traceless_scenario_check(build("zero_ideal"), 3)
-    assert out["pass"] is True
-
-
 def test_report_json_compatible_and_deterministic():
     import json
     r1 = excision_report(build("split_product"), 3)
@@ -168,3 +143,72 @@ def test_surrogate_note_present():
 def test_report_rejects_negative_degree():
     with pytest.raises(ValueError):
         excision_report(build("split_product"), -1)
+
+
+def _report_with(inexact=(), betti=True):
+    """The fields of an excision report that the equivalence view reads:
+    the six candidate sequences, exact unless named in inexact."""
+    return {"sequences": [{"name": "%s %s" % (theory, side),
+                           "exact": (theory, side) not in inexact}
+                          for theory in THEORIES
+                          for side in ("homology", "cohomology")],
+            "betti_duality_ok": betti}
+
+
+def test_equivalence_view_exact():
+    eq = check_hlgy_cohlgy_equivalence(_report_with())
+    assert eq["verdict"] == "equivalent-and-exact"
+    assert eq["equivalent"] and eq["betti_duality_ok"]
+    assert list(eq["theories"]) == list(THEORIES)
+
+
+def test_equivalence_view_inexact():
+    both = [(theory, side) for theory in ("simplicial", "cyclic")
+            for side in ("homology", "cohomology")]
+    eq = check_hlgy_cohlgy_equivalence(_report_with(both, betti=False))
+    assert eq["verdict"] == "equivalent-and-inexact"
+    assert eq["equivalent"]
+    assert eq["betti_duality_ok"] is False
+    assert eq["theories"]["cyclic"] == {
+        "homology_exact": False, "cohomology_exact": False,
+        "equivalent": True}
+
+
+def test_equivalence_view_not_equivalent():
+    eq = check_hlgy_cohlgy_equivalence(
+        _report_with([("bar", "cohomology")]))
+    assert eq["verdict"] == "not-equivalent"
+    assert not eq["equivalent"]
+    assert eq["theories"]["bar"] == {
+        "homology_exact": True, "cohomology_exact": False,
+        "equivalent": False}
+    assert eq["theories"]["simplicial"]["equivalent"]
+
+
+def _count_bar_builds(monkeypatch):
+    """Record the algebra of every bar_complex call made by excision."""
+    calls = []
+    real = excision.bar_complex
+
+    def counted(alg, *args, **kwargs):
+        calls.append(alg)
+        return real(alg, *args, **kwargs)
+
+    monkeypatch.setattr(excision, "bar_complex", counted)
+    return calls
+
+
+def test_report_builds_each_bar_complex_once(monkeypatch):
+    calls = _count_bar_builds(monkeypatch)
+    ext = build("nilpotent_corner")
+    r = excision_report(ext, 2)
+    assert calls == [ext.A, ext.B, ext.D]
+    assert r["hypothesis"]["bar_homology_B"] == [1, 1, 1]
+
+
+def test_bar_invariance_builds_each_bar_complex_once(monkeypatch):
+    calls = _count_bar_builds(monkeypatch)
+    ext = build("split_product")
+    out = check_bar_invariance(ext, 2)
+    assert calls == [ext.A, ext.D]
+    assert out["HR_A"] == out["HR_dual_A"] == [0, 0, 0]

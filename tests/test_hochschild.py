@@ -130,7 +130,8 @@ def test_trace_is_h0_and_hc0_dual():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_kernel_subcomplex_structure(name):
     ext = build(name)
-    sub, incl, comp = kernel_subcomplex(ext, 2)
+    sub, incl, comp = kernel_subcomplex(
+        ext, hochschild_complex(ext.A, 2), hochschild_complex(ext.B, 2))
     assert check_complex(sub) is None
     assert check_chain_map(incl) is None
     assert check_chain_map(comp) is None
@@ -141,7 +142,8 @@ def test_kernel_subcomplex_structure(name):
 
 def test_kernel_subcomplex_dims_nilpotent_corner():
     ext = build("nilpotent_corner")
-    sub, _, _ = kernel_subcomplex(ext, 3)
+    sub, _, _ = kernel_subcomplex(
+        ext, hochschild_complex(ext.A, 3), hochschild_complex(ext.B, 3))
     assert sub.dims == [3 ** k - 2 ** k for k in range(1, 7)][:len(sub.dims)]
 
 
