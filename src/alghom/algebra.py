@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .linalg import (
     Matrix, Q, ZERO, ONE,
-    cokernel, image_basis, kernel_basis, rank, solve,
+    cokernel, image_basis, kernel_basis, rank, solve, solve_many,
 )
 
 
@@ -329,16 +329,12 @@ def unit_witness(alg: Algebra) -> UnitWitness:
 
 
 def find_splitting(ext: Extension) -> Matrix:
-    """A linear right inverse of j (always exists here), computed by
-    deterministic columnwise solves."""
-    cols = []
-    for q in range(ext.D.dim):
-        rhs = [ONE if r == q else ZERO for r in range(ext.D.dim)]
-        x = solve(ext.j.matrix, rhs)
-        if x is None:
-            raise ValueError("j is not surjective; extension invalid")
-        cols.append({r: v for r, v in enumerate(x) if v})
-    return Matrix.from_columns(ext.A.dim, cols)
+    """A linear right inverse of j (always exists here), computed by one
+    deterministic solve j @ s = I."""
+    s = solve_many(ext.j.matrix, Matrix.identity(ext.D.dim))
+    if s is None:
+        raise ValueError("j is not surjective; extension invalid")
+    return s
 
 
 def quotient_extension(A: Algebra, ideal_basis: Matrix,

@@ -342,12 +342,6 @@ class LongSequence:
     def interior_exact(self) -> bool:
         return all(d == 0 for d in self.interior_defects())
 
-    def node(self, label: str, degree: int) -> SequenceNode:
-        for nd in self.nodes:
-            if nd.label == label and nd.degree == degree:
-                return nd
-        raise KeyError((label, degree))
-
 
 def _node_defect(incoming: Matrix | None, outgoing: Matrix | None, dim: int):
     """(defect, composition_zero) at a node; incoming/outgoing None means

@@ -10,10 +10,11 @@ The report separates three layers that must not be conflated:
   3. the hypothesis verdicts (one-sided unit of B, vanishing of the bar
      homology of B) that guarantee layer 2.
 
-excision_report builds each theory's complexes once and reads the bar
-data off the bar theory.  check_hlgy_cohlgy_equivalence is a view of a
-report and builds nothing; check_bar_invariance and
-amenable_scenario_check are standalone checks.
+Each theory builds one complex, C(A) (CC(A) for cyclic) of A in its
+adapted basis, and reads Ker, C(B), C(D) and their maps off it; the
+report reads its bar data off the bar theory.
+check_hlgy_cohlgy_equivalence is a view of a report and builds nothing;
+check_bar_invariance and amenable_scenario_check are standalone checks.
 
 A finite-dimensional surrogate note is attached to every report: the
 "bounded approximate identity" hypothesis is modeled as an exact
@@ -34,8 +35,9 @@ from .complexes import (
     long_exact_sequence, check_quasi_isomorphism,
 )
 from .hochschild import (
-    bar_complex, check_degree_cap, cyclic_complex, cyclic_kernel_subcomplex,
-    hochschild_complex, kernel_subcomplex, kron_power, trace_space,
+    adapted_extension, bar_complex, check_degree_cap, cyclic_complex,
+    cyclic_kernel_subcomplex, hochschild_complex, kernel_subcomplex,
+    trace_space,
 )
 from .linalg import Matrix, format_q, rank, solve_many
 
@@ -61,11 +63,13 @@ def _require_valid(ext: Extension):
 
 @dataclass
 class TheoryData:
-    """One homology theory's complexes and maps for an extension."""
+    """One homology theory's complexes and maps for an extension.  CA
+    is the complex of the adapted A (hochschild.adapted_extension); the
+    other complexes and the maps are coordinate pieces of it."""
 
     name: str
-    CB: ChainComplex
     CA: ChainComplex
+    CB: ChainComplex
     CD: ChainComplex
     sub: ChainComplex          # kernel subcomplex inside CA
     incl: ChainMap             # sub -> CA
@@ -86,33 +90,18 @@ class TheoryData:
 
 def build_theory(ext: Extension, n_report: int, theory: str,
                  force: bool = False) -> TheoryData:
-    """Assemble complexes, kernel subcomplex and comparison data for one
-    of the three theories ('simplicial', 'bar', 'cyclic')."""
-    n_internal = n_report + 2
-    degs = range(n_internal + 1)
-    if theory in ("simplicial", "bar"):
-        build = hochschild_complex if theory == "simplicial" else bar_complex
-        CA = build(ext.A, n_report, force)
-        CB = build(ext.B, n_report, force)
-        CD = build(ext.D, n_report, force)
-        sub, incl, comp = kernel_subcomplex(ext, CA, CB)
-        map_ba = ChainMap(CB, CA, [kron_power(ext.i.matrix, n + 1) for n in degs])
-        map_ad = ChainMap(CA, CD, [kron_power(ext.j.matrix, n + 1) for n in degs])
-    elif theory == "cyclic":
-        CA, quot_a = cyclic_complex(ext.A, n_report, force)
-        CB, quot_b = cyclic_complex(ext.B, n_report, force)
-        CD, quot_d = cyclic_complex(ext.D, n_report, force)
-        sub, incl, comp = cyclic_kernel_subcomplex(
-            ext, (CA, quot_a), (CB, quot_b))
-        map_ba = ChainMap(CB, CA, [
-            quot_a[n].projection @ kron_power(ext.i.matrix, n + 1)
-            @ quot_b[n].section for n in degs])
-        map_ad = ChainMap(CA, CD, [
-            quot_d[n].projection @ kron_power(ext.j.matrix, n + 1)
-            @ quot_a[n].section for n in degs])
-    else:
+    """One of the three theories ('simplicial', 'bar', 'cyclic') for an
+    adapted extension (hochschild.adapted_extension): builds C(A), or
+    CC(A) for cyclic, and reads everything else off it by index."""
+    if theory == "cyclic":
+        cyclic_A = cyclic_complex(ext.A, n_report, force)
+        return TheoryData(theory, cyclic_A[0],
+                          *cyclic_kernel_subcomplex(ext, cyclic_A))
+    if theory not in ("simplicial", "bar"):
         raise ValueError("unknown theory %r" % theory)
-    return TheoryData(theory, CB, CA, CD, sub, incl, comp, map_ba, map_ad)
+    build = hochschild_complex if theory == "simplicial" else bar_complex
+    CA = build(ext.A, n_report, force)
+    return TheoryData(theory, CA, *kernel_subcomplex(ext, CA))
 
 
 def _factor_through(through: Matrix, target_map: Matrix):
@@ -239,13 +228,14 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
     and the verdict says so."""
     _require_valid(ext)
     check_degree_cap(ext.A.dim, n_report, force)
+    adapted = adapted_extension(ext)
 
     sequences = []
     snake_sequences = []
     comparison = {}
     betti_ok = True
     for theory in THEORIES:
-        td = build_theory(ext, n_report, theory, force)
+        td = build_theory(adapted, n_report, theory, force)
         hom, hconv = candidate_homology_sequence(td, n_report)
         coh, cconv = candidate_cohomology_sequence(td, n_report)
         sequences.append(_sequence_record("%s homology" % theory, hom, hconv))
@@ -334,11 +324,13 @@ def check_bar_invariance(ext: Extension, n_report: int = 3,
                          force: bool = False) -> dict:
     """dim HR_n(A) = dim HR_n(D) under the hypothesis; reported
     informationally when the hypothesis is unmet."""
+    _require_valid(ext)
+    td = build_theory(adapted_extension(ext), n_report, "bar", force)
+    hr_a, dual_a = (homology_dims(td.CA, n_report),
+                    cohomology_dims(td.CA, n_report))
+    hr_d, dual_d = (homology_dims(td.CD, n_report),
+                    cohomology_dims(td.CD, n_report))
     unit = unit_witness(ext.B)
-    K = bar_complex(ext.A, n_report, force)
-    hr_a, dual_a = homology_dims(K, n_report), cohomology_dims(K, n_report)
-    K = bar_complex(ext.D, n_report, force)
-    hr_d, dual_d = homology_dims(K, n_report), cohomology_dims(K, n_report)
     out = {
         "in_hypothesis": unit.found,
         "HR_A": hr_a, "HR_D": hr_d,
@@ -360,7 +352,8 @@ def amenable_scenario_check(ext: Extension, n_report: int = 3,
     0 -> D^tr -> A^tr -> B^tr -> H^1(D) -> H^1(A) -> 0 is exact, and
     the cyclic six-term pattern holds."""
     _require_valid(ext)
-    td = build_theory(ext, n_report, "simplicial", force)
+    adapted = adapted_extension(ext)
+    td = build_theory(adapted, n_report, "simplicial", force)
     unit = unit_witness(ext.B)
     hb = homology_dims(td.CB, n_report)
     if ext.B.dim > 0 and (unit.side != "two-sided"
@@ -400,7 +393,7 @@ def amenable_scenario_check(ext: Extension, n_report: int = 3,
 
     # cyclic pattern: HC^even(B) has the trace dimension, HC^odd(B) = 0,
     # and the cyclic cohomology candidate is exact in the window
-    tdc = build_theory(ext, n_report, "cyclic", force)
+    tdc = build_theory(adapted, n_report, "cyclic", force)
     cseq, _ = candidate_cohomology_sequence(tdc, n_report)
     hc_b = cohomology_dims(tdc.CB, n_report)
     pattern_ok = all(

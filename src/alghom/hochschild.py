@@ -1,6 +1,9 @@
 """Builders for the concrete complexes of an algebra: simplicial
 (Hochschild), bar and cyclic, their duals, the trace space, and the
-kernel subcomplexes attached to an extension.
+pieces of an extension's complexes.  In the adapted basis [i(B) | s(D)]
+of A (adapted_extension), Ker(j (x) ... (x) j), C(B) and the quotient
+C(D) are spanned by the basis tensors with some, only and no B slots,
+and are read off the one complex C(A) by index.
 
 Index convention (shared with linalg.kron): a basis tensor
 e_{i0} (x) ... (x) e_{in} of the degree-n chain space is flattened
@@ -19,13 +22,16 @@ Sign conventions (single source of truth for this repo):
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .algebra import Algebra, Extension
+from .algebra import (
+    Algebra, AlgebraHom, Extension, find_splitting, validate_hom,
+)
 from .complexes import ChainComplex, ChainMap, check_complex
 from .linalg import (
     Matrix, ZERO, ONE, Subspace,
-    cokernel, hstack, image_basis, kernel_basis, kron, kron_power, rank,
+    cokernel, hstack, kernel_basis, kron, kron_power, rank, solve_many,
 )
 
 DEGREE_CAP = 10 ** 6
@@ -37,7 +43,8 @@ class InducedMapNotWellDefined(Exception):
 
 
 class ClosureViolation(Exception):
-    """A differential failed to map a kernel subcomplex into itself."""
+    """A subspace that must be closed is not: a differential leaves a
+    subcomplex, or the ideal is not closed in the adapted basis."""
 
 
 class DegreeCapExceeded(Exception):
@@ -60,50 +67,31 @@ def check_degree_cap(dim: int, n_report: int, force: bool = False):
 
 
 def _chain_differential(A: Algebra, n: int, wrap: bool) -> Matrix:
-    """d_n (or dr_n when wrap=False): C_{n+1}(A) -> C_n(A)."""
+    """d_n (or dr_n when wrap=False): C_{n+1}(A) -> C_n(A).
+
+    Face i <= n of the tensor at flat index col = (pre, a_i, a_{i+1},
+    rest) puts the product a_i a_{i+1} between pre and rest; the
+    wrap-around face puts a_{n+1} a_0 in front of rest = a_1 ... a_n.
+    Sums that cancel are dropped by the Matrix constructor."""
     d = A.dim
+    # (left slot, right slot, sign, weight of the product's slot)
+    faces = [(i, i + 1, ONE if i % 2 == 0 else -ONE, d ** (n - i))
+             for i in range(n + 1)]
+    if wrap:
+        faces.append((n + 1, 0, ONE if n % 2 else -ONE, d ** n))
     ents = {}
-    if d == 0:
-        return Matrix.zero(0, 0)
-    powers = [d ** k for k in range(n + 2)]
     for col, factors in enumerate(itertools.product(range(d), repeat=n + 2)):
-        # face maps multiplying adjacent factors
-        for i in range(n + 1):
-            prod = A.product_basis(factors[i], factors[i + 1])
+        for left, right, sign, scale in faces:
+            prod = A.mult.get((factors[left], factors[right]))
             if not prod:
                 continue
-            sign = ONE if i % 2 == 0 else -ONE
-            pre = 0
-            for f in factors[:i]:
-                pre = pre * d + f
-            suf = 0
-            for f in factors[i + 2:]:
-                suf = suf * d + f
-            shift_k = powers[n - i]          # positions after slot i
-            shift_pre = powers[n - i + 1]    # slot i itself plus the suffix
+            if right:
+                base = col // (scale * d * d) * d * scale + col % scale
+            else:
+                base = col // d % scale
             for k, c in prod.items():
-                row = pre * shift_pre + k * shift_k + suf
-                key = (row, col)
-                s = ents.get(key, ZERO) + sign * c
-                if s:
-                    ents[key] = s
-                elif key in ents:
-                    del ents[key]
-        if wrap:
-            prod = A.product_basis(factors[n + 1], factors[0])
-            if prod:
-                sign = ONE if (n + 1) % 2 == 0 else -ONE
-                mid = 0
-                for f in factors[1:n + 1]:
-                    mid = mid * d + f
-                for k, c in prod.items():
-                    row = k * powers[n] + mid
-                    key = (row, col)
-                    s = ents.get(key, ZERO) + sign * c
-                    if s:
-                        ents[key] = s
-                    elif key in ents:
-                        del ents[key]
+                key = (base + k * scale, col)
+                ents[key] = ents.get(key, ZERO) + sign * c
     return Matrix(d ** (n + 1), d ** (n + 2), ents)
 
 
@@ -134,19 +122,12 @@ def bar_complex(A: Algebra, n_report: int, force: bool = False) -> ChainComplex:
 
 
 def cyclic_operator(A: Algebra, n: int) -> Matrix:
-    """Signed cyclic permutation t_n on C_n(A); t_0 is the identity."""
-    d = A.dim
-    size = d ** (n + 1)
-    if n == 0:
-        return Matrix.identity(size)
+    """Signed cyclic permutation t_n on C_n(A); t_0 is the identity.
+    The last factor of the tensor at col moves to the front."""
+    d, size = A.dim, A.dim ** (n + 1)
     sign = ONE if n % 2 == 0 else -ONE
-    ents = {}
-    for col in range(size):
-        last = col % d
-        head = col // d
-        row = last * (d ** n) + head
-        ents[(row, col)] = sign
-    return Matrix(size, size, ents)
+    return Matrix(size, size, {((col % d) * d ** n + col // d, col): sign
+                               for col in range(size)})
 
 
 @dataclass(frozen=True)
@@ -197,52 +178,133 @@ def trace_space(A: Algebra) -> Subspace:
     return kernel_basis(d0.transpose())
 
 
-# -- kernel subcomplexes of an extension -----------------------------
+# -- an extension in its adapted basis ------------------------------
 
 
-def _restrict_to_kernels(C_A: ChainComplex, kernels, what: str):
-    """Restrict the differentials of C_A to per-degree kernel subspaces;
-    verifies that each differential maps the subspace into the one below."""
-    dims = [k.dim for k in kernels]
+def _adapted_maps(a: int, b: int):
+    """The matrices i = [I; 0] and j = [0 | I] for dim A = a, dim B = b."""
+    return (Matrix(a, b, {(k, k): ONE for k in range(b)}),
+            Matrix(a - b, a, {(k, b + k): ONE for k in range(a - b)}))
+
+
+def adapted_extension(ext: Extension) -> Extension:
+    """ext with A rebased onto [i(B) | s(D)], s = find_splitting(ext), so
+    that i = [I; 0] and j = [0 | I]: the B slots of a basis tensor are
+    the slots holding an index below B.dim.  B and D are kept.  Raises
+    ClosureViolation when the new i or j is not multiplicative."""
+    a, b = ext.A.dim, ext.B.dim
+    P = hstack([ext.i.matrix, find_splitting(ext)])
+    cols = P.column_dicts()
+    X = solve_many(P, Matrix.from_columns(
+        a, [ext.A.product(x, y) for x in cols for y in cols]))
+    if X is None:
+        raise ClosureViolation("products leave the span of [i(B) | s(D)]")
+    A = Algebra(a, ext.B.basis_names + ext.D.basis_names,
+                {divmod(c, a): col for c, col in enumerate(X.column_dicts())})
+    mi, mj = _adapted_maps(a, b)
+    i, j = AlgebraHom(ext.B, A, mi), AlgebraHom(A, ext.D, mj)
+    for name, hom in (("i", i), ("j", j)):
+        if validate_hom(hom):
+            raise ClosureViolation(
+                "%s is not multiplicative in the adapted basis" % name)
+    return Extension(ext.B, A, ext.D, i, j)
+
+
+def _restrict(K: ChainComplex, keep, sub: bool = True):
+    """The coordinate piece of K on the increasing index lists keep[n].
+
+    sub=True: keep must span a subcomplex, and an entry of a kept column
+    in a dropped row raises ClosureViolation.  sub=False: the quotient
+    by the complementary coordinates, whose entries are dropped; valid
+    only once the complement has passed the subcomplex check."""
     diffs = []
-    for n in range(len(C_A.diffs)):
-        image = C_A.diffs[n] @ kernels[n + 1].basis
-        cols = []
-        for col in image.column_dicts():
-            coords = kernels[n].coords(col)
-            if coords is None:
+    for n, d in enumerate(K.diffs):
+        rows = {r: k for k, r in enumerate(keep[n])}
+        cols = {c: k for k, c in enumerate(keep[n + 1])}
+        ents = {}
+        for (r, c), v in d.entries.items():
+            if c in cols and r in rows:
+                ents[(rows[r], cols[c])] = v
+            elif c in cols and sub:
                 raise ClosureViolation(
-                    "%s differential leaves the kernel subspace at degree %d"
-                    % (what, n))
-            cols.append(coords)
-        diffs.append(Matrix.from_columns(dims[n], cols))
-    return ChainComplex(dims, diffs)
+                    "differential leaves the subcomplex at degree %d" % n)
+        diffs.append(Matrix(len(keep[n]), len(keep[n + 1]), ents))
+    return ChainComplex([len(k) for k in keep], diffs)
 
 
-def kernel_subcomplex(ext: Extension, C_A: ChainComplex, C_B: ChainComplex):
-    """The subcomplex Ker(j (x) ... (x) j) of C_A, the simplicial or bar
-    complex of ext.A, with the comparison chain map from C_B, the
-    complex of ext.B built with the same differential and degree.
-    Returns (subcomplex, inclusion into C_A, comparison map
-    C_B -> subcomplex)."""
-    n_internal = C_A.top_degree
-    kernels = [kernel_basis(kron_power(ext.j.matrix, n + 1))
-               for n in range(n_internal + 1)]
-    sub = _restrict_to_kernels(C_A, kernels, "chain")
-    inclusion = ChainMap(sub, C_A, [k.basis for k in kernels])
-    comp_cols = []
-    for n in range(n_internal + 1):
-        i_pow = kron_power(ext.i.matrix, n + 1)
-        cols = []
-        for col in i_pow.column_dicts():
-            coords = kernels[n].coords(col)
-            if coords is None:
+def _coordinate_map(source, target, positions, project=False) -> ChainMap:
+    """Coordinate k of source to coordinate positions[n][k] of target;
+    with project, the projection of source onto those coordinates."""
+    return ChainMap(source, target, [Matrix(
+        target.dims[n], source.dims[n],
+        {(k, p) if project else (p, k): ONE for k, p in enumerate(pos)})
+        for n, pos in enumerate(positions)])
+
+
+ExtensionPieces = namedtuple(
+    "ExtensionPieces", "CB CD sub incl comp map_ba map_ad")
+
+
+def _read_off(C_A: ChainComplex, counts) -> ExtensionPieces:
+    """Split C_A by counts[n][k], the number of B slots of the tensor
+    behind coordinate k in degree n: Ker has some, C(B) only B slots,
+    and the quotient C(D) none."""
+    def where(test):
+        return [[k for k, c in enumerate(cn) if test(n, c)]
+                for n, cn in enumerate(counts)]
+    ker, only_b = where(lambda n, c: c), where(lambda n, c: c == n + 1)
+    no_b = where(lambda n, c: not c)
+    sub, CB = _restrict(C_A, ker), _restrict(C_A, only_b)
+    CD = _restrict(C_A, no_b, sub=False)
+    in_ker = [{t: k for k, t in enumerate(kn)} for kn in ker]
+    return ExtensionPieces(
+        CB, CD, sub, _coordinate_map(sub, C_A, ker),
+        _coordinate_map(CB, sub, [[at[t] for t in ob]
+                                  for at, ob in zip(in_ker, only_b)]),
+        _coordinate_map(CB, C_A, only_b),
+        _coordinate_map(C_A, CD, no_b, project=True))
+
+
+def _b_slot_counts(ext: Extension, top: int):
+    """Per degree n <= top, the number of B slots of each basis tensor
+    of A^(x)(n+1), in flat order.  ext must be in its adapted basis."""
+    a, b = ext.A.dim, ext.B.dim
+    if (ext.i.matrix, ext.j.matrix) != _adapted_maps(a, b):
+        raise ValueError("extension is not in its adapted basis; "
+                         "pass adapted_extension(ext)")
+    counts = [[int(s < b) for s in range(a)]]
+    for _ in range(top):
+        counts.append([c + (s < b) for c in counts[-1] for s in range(a)])
+    return counts
+
+
+def kernel_subcomplex(ext: Extension, C_A: ChainComplex) -> ExtensionPieces:
+    """C(B), the quotient C(D), the subcomplex Ker(j (x) ... (x) j) and
+    the maps incl, comp, map_ba and map_ad, read off C_A, the simplicial
+    or bar complex of the A of an adapted extension, by index."""
+    return _read_off(C_A, _b_slot_counts(ext, C_A.top_degree))
+
+
+def cyclic_kernel_subcomplex(ext: Extension, cyclic_A) -> ExtensionPieces:
+    """kernel_subcomplex for the cyclic quotient: cyclic_A is what
+    cyclic_complex returns for the A of an adapted extension.
+
+    Quotient coordinate qi is the class of the tensor q with
+    section @ e_qi = e_q, and counts the B slots of q.  Every tensor
+    with a B slot must project onto such coordinates; the image of
+    Ker(j (x) ... (x) j) is then exactly their span."""
+    CC_A, quot_A = cyclic_A
+    slots = _b_slot_counts(ext, CC_A.top_degree)
+    counts = []
+    for n, q in enumerate(quot_A):
+        coord = [slots[n][next(iter(col))] for col in q.section.column_dicts()]
+        for k, col in enumerate(q.projection.column_dicts()):
+            if slots[n][k] and not all(coord[qi] for qi in col):
                 raise ClosureViolation(
-                    "tensor power of i does not land in Ker(j tensor power)")
-            cols.append(coords)
-        comp_cols.append(Matrix.from_columns(kernels[n].dim, cols))
-    comparison = ChainMap(C_B, sub, comp_cols)
-    return sub, inclusion, comparison
+                    "cyclic projection moves the kernel off its "
+                    "coordinates at degree %d" % n)
+        counts.append(coord)
+    return _read_off(CC_A, counts)
 
 
 def verify_kernel_span(ext: Extension, n: int):
@@ -252,19 +314,11 @@ def verify_kernel_span(ext: Extension, n: int):
     passes, else a counterexample description."""
     if n < 1:
         raise ValueError("tensor power must be >= 1")
-    a, b, t = ext.A.dim, ext.B.dim, ext.D.dim
+    a, t = ext.A.dim, ext.D.dim
     J = kron_power(ext.j.matrix, n)
     ker = kernel_basis(J)
-    blocks = []
-    for p in range(n):
-        factors = []
-        for q in range(n):
-            factors.append(ext.i.matrix if q == p else Matrix.identity(a))
-        blk = factors[0]
-        for f in factors[1:]:
-            blk = kron(blk, f)
-        blocks.append(blk)
-    span = hstack(blocks)
+    span = hstack([kron(kron(Matrix.identity(a ** p), ext.i.matrix),
+                        Matrix.identity(a ** (n - 1 - p))) for p in range(n)])
     span_rank = rank(span)
     expected = a ** n - t ** n
     if ker.dim != expected:
@@ -275,36 +329,3 @@ def verify_kernel_span(ext: Extension, n: int):
     if not (J @ span).is_zero():
         return {"reason": "span not inside kernel"}
     return None
-
-
-def cyclic_kernel_subcomplex(ext: Extension, cyclic_A, cyclic_B):
-    """Image of Ker(j^(x)(n+1)) in the cyclic quotient CC(A), with the
-    induced differential and the comparison map from CC(B).
-
-    cyclic_A and cyclic_B are the (complex, quotient data) pairs that
-    cyclic_complex returns for ext.A and ext.B at the same degree.
-    Returns (subcomplex, inclusion into CC(A), comparison map)."""
-    CC_A, quot_A = cyclic_A
-    CC_B, quot_B = cyclic_B
-    n_internal = CC_A.top_degree
-    kernels = []
-    for n in range(n_internal + 1):
-        J = kron_power(ext.j.matrix, n + 1)
-        pushed = quot_A[n].projection @ kernel_basis(J).basis
-        kernels.append(image_basis(pushed))
-    sub = _restrict_to_kernels(CC_A, kernels, "cyclic")
-    inclusion = ChainMap(sub, CC_A, [k.basis for k in kernels])
-    comp_cols = []
-    for n in range(n_internal + 1):
-        induced_i = quot_A[n].projection @ kron_power(ext.i.matrix, n + 1) \
-            @ quot_B[n].section
-        cols = []
-        for col in induced_i.column_dicts():
-            coords = kernels[n].coords(col)
-            if coords is None:
-                raise ClosureViolation(
-                    "induced tensor power of i leaves the cyclic kernel")
-            cols.append(coords)
-        comp_cols.append(Matrix.from_columns(kernels[n].dim, cols))
-    comparison = ChainMap(CC_B, sub, comp_cols)
-    return sub, inclusion, comparison

@@ -170,16 +170,6 @@ class Matrix:
         return Matrix(self.rows, self.cols,
                       {k: a * v for k, v in self.entries.items()})
 
-    def apply(self, vec) -> list:
-        """Matrix times a dense vector (list)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [ZERO] * self.rows
-        for (r, c), v in self.entries.items():
-            if vec[c]:
-                out[r] += v * vec[c]
-        return out
-
     def apply_dict(self, vec: dict) -> dict:
         """Matrix times a sparse vector {index: value}."""
         out = {}

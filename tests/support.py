@@ -1,12 +1,13 @@
 """Shared helpers for the property suites: snake-lemma checks on random
-short exact sequences and the homology/cohomology window implications
-for injective chain maps."""
+short exact sequences, the homology/cohomology window implications
+for injective chain maps, and a fixed change of basis for extensions."""
 
+from alghom.algebra import Algebra, quotient_extension
 from alghom.complexes import (
     connecting_homomorphism, dualize, dualize_map, homology_at,
     induced_map_on_homology, long_exact_sequence, random_ses,
 )
-from alghom.linalg import rank
+from alghom.linalg import Matrix, rank
 
 
 def snake_check(seed: int, degrees: int = 4, max_dim: int = 4) -> bool:
@@ -87,3 +88,28 @@ def lemma_vanishing_check(seed: int, degrees: int = 4, max_dim: int = 4) -> tupl
             if nd.dim != 0:
                 violations += 1
     return violations, nonvacuous
+
+
+# A fixed unimodular integer change of basis f = S e of a 3-dimensional
+# algebra (det S = 1) and its inverse.
+BASIS_CHANGE = ((2, 1, 1), (1, 1, 1), (1, 1, 2))
+BASIS_CHANGE_INVERSE = ((1, -1, 0), (-1, 3, -1), (0, -1, 1))
+
+
+def rebased(ext):
+    """ext with its 3-dimensional A rewritten in the basis f = S e and
+    rebuilt with quotient_extension, so that the ideal is no longer
+    spanned by basis vectors."""
+    S, S_inv, d = BASIS_CHANGE, BASIS_CHANGE_INVERSE, ext.A.dim
+    assert d == len(S)
+    mult = {}
+    for a in range(d):
+        for b in range(d):
+            prod = ext.A.product({i: S[i][a] for i in range(d)},
+                                 {j: S[j][b] for j in range(d)})
+            mult[(a, b)] = {k: sum(S_inv[k][p] * v for p, v in prod.items())
+                            for k in range(d)}
+    A = Algebra(d, ["f%d" % k for k in range(d)], mult)
+    S_inv_matrix = Matrix.from_dense(S_inv)
+    return quotient_extension(A, S_inv_matrix @ ext.i.matrix,
+                              ext.B.basis_names)

@@ -8,8 +8,8 @@ from alghom import cli
 from alghom.cli import main
 from alghom.complexes import LiftFailure
 from alghom.corpus import build
-from alghom.excision import excision_report
-from alghom.fileio import dump_document
+from alghom.excision import check_bar_invariance, excision_report
+from alghom.fileio import dump_document, load_document
 
 
 @pytest.fixture
@@ -177,6 +177,13 @@ def test_excision_rejects_non_associative_extension(capsys,
     assert out == ""
     assert "A associative" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_bar_invariance_rejects_non_associative_extension(
+        non_associative_ext_file):
+    _, ext = load_document(non_associative_ext_file)
+    with pytest.raises(ValueError, match="A associative"):
+        check_bar_invariance(ext, 1)
 
 
 @pytest.mark.parametrize("command", ["validate", "excision"])

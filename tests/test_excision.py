@@ -7,15 +7,21 @@ always agree.
 """
 
 import functools
+import json
 
 import pytest
 
 from alghom import excision
+from alghom.algebra import validate_extension
 from alghom.corpus import CORPUS, FAILURE_CORPUS, UNITAL_CORPUS, build
 from alghom.excision import (
     THEORIES, SurrogateNotMet, amenable_scenario_check, check_bar_invariance,
     check_hlgy_cohlgy_equivalence, excision_report,
 )
+from alghom.hochschild import adapted_extension
+from alghom.linalg import Matrix
+
+from support import rebased
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,30 +191,66 @@ def test_equivalence_view_not_equivalent():
     assert eq["theories"]["simplicial"]["equivalent"]
 
 
-def _count_bar_builds(monkeypatch):
-    """Record the algebra of every bar_complex call made by excision."""
+def _count_builds(monkeypatch, builder="bar_complex"):
+    """Record the algebra of every call of a complex builder made by
+    excision."""
     calls = []
-    real = excision.bar_complex
+    real = getattr(excision, builder)
 
     def counted(alg, *args, **kwargs):
         calls.append(alg)
         return real(alg, *args, **kwargs)
 
-    monkeypatch.setattr(excision, "bar_complex", counted)
+    monkeypatch.setattr(excision, builder, counted)
     return calls
 
 
+def _mults(algebras):
+    return [alg.mult for alg in algebras]
+
+
 def test_report_builds_each_bar_complex_once(monkeypatch):
-    calls = _count_bar_builds(monkeypatch)
+    calls = _count_builds(monkeypatch)
     ext = build("nilpotent_corner")
     r = excision_report(ext, 2)
-    assert calls == [ext.A, ext.B, ext.D]
+    assert _mults(calls) == _mults([adapted_extension(ext).A])
     assert r["hypothesis"]["bar_homology_B"] == [1, 1, 1]
 
 
 def test_bar_invariance_builds_each_bar_complex_once(monkeypatch):
-    calls = _count_bar_builds(monkeypatch)
+    calls = _count_builds(monkeypatch)
     ext = build("split_product")
     out = check_bar_invariance(ext, 2)
-    assert calls == [ext.A, ext.D]
+    assert _mults(calls) == _mults([adapted_extension(ext).A])
     assert out["HR_A"] == out["HR_dual_A"] == [0, 0, 0]
+
+
+def test_report_builds_one_cyclic_complex(monkeypatch):
+    calls = _count_builds(monkeypatch, "cyclic_complex")
+    ext = build("nilpotent_corner")
+    excision_report(ext, 1)
+    assert _mults(calls) == _mults([adapted_extension(ext).A])
+
+
+def _without_unit_element(report):
+    out = json.loads(json.dumps(report))
+    del out["hypothesis"]["unit"]["element"]
+    return out
+
+
+@pytest.mark.parametrize("name", ["right_unital_corner",
+                                  "nilpotent_augmentation"])
+def test_report_is_basis_independent(name):
+    """An ideal that is not spanned by basis vectors of A: the report
+    is the same except for the unit element, and the adapted basis
+    still puts the ideal first."""
+    ext, moved = build(name), rebased(build(name))
+    assert all(len(col) > 1 for col in moved.i.matrix.column_dicts())
+    assert (_without_unit_element(excision_report(moved, 2))
+            == _without_unit_element(excision_report(ext, 2)))
+    adapted = adapted_extension(moved)
+    a, b = ext.A.dim, ext.B.dim
+    assert adapted.i.matrix == Matrix(a, b, {(k, k): 1 for k in range(b)})
+    assert adapted.j.matrix == Matrix(a - b, a, {(k, b + k): 1
+                                                 for k in range(a - b)})
+    assert validate_extension(adapted) is None

@@ -1,21 +1,28 @@
 """Hochschild/cyclic/bar complexes against an independently coded
 dense oracle, plus hand-checkable dimension tables."""
 
+import dataclasses
 import itertools
 
 import pytest
 
-from alghom.algebra import preset
+from alghom import linalg
+from alghom.algebra import (
+    AlgebraHom, Extension, preset, validate_extension,
+)
 from alghom.complexes import (
     check_chain_map, check_complex, cohomology_dims, homology_dims,
 )
 from alghom.corpus import CORPUS, build
 from alghom.hochschild import (
-    DegreeCapExceeded, bar_complex, check_degree_cap, cyclic_complex,
+    ClosureViolation, DegreeCapExceeded, adapted_extension, bar_complex,
+    check_degree_cap, cyclic_complex, cyclic_kernel_subcomplex,
     cyclic_operator, hochschild_complex, kernel_subcomplex, trace_space,
     verify_kernel_span,
 )
-from alghom.linalg import Matrix, ONE, Q, ZERO, rank
+from alghom.linalg import (
+    Matrix, ONE, Q, ZERO, kernel_basis, kron_power, rank,
+)
 
 
 def oracle_differential(A, n, wrap):
@@ -129,9 +136,9 @@ def test_trace_is_h0_and_hc0_dual():
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_kernel_subcomplex_structure(name):
-    ext = build(name)
-    sub, incl, comp = kernel_subcomplex(
-        ext, hochschild_complex(ext.A, 2), hochschild_complex(ext.B, 2))
+    ext = adapted_extension(build(name))
+    pieces = kernel_subcomplex(ext, hochschild_complex(ext.A, 2))
+    sub, incl, comp = pieces.sub, pieces.incl, pieces.comp
     assert check_complex(sub) is None
     assert check_chain_map(incl) is None
     assert check_chain_map(comp) is None
@@ -141,10 +148,116 @@ def test_kernel_subcomplex_structure(name):
 
 
 def test_kernel_subcomplex_dims_nilpotent_corner():
-    ext = build("nilpotent_corner")
-    sub, _, _ = kernel_subcomplex(
-        ext, hochschild_complex(ext.A, 3), hochschild_complex(ext.B, 3))
+    ext = adapted_extension(build("nilpotent_corner"))
+    sub = kernel_subcomplex(ext, hochschild_complex(ext.A, 3)).sub
     assert sub.dims == [3 ** k - 2 ** k for k in range(1, 7)][:len(sub.dims)]
+
+
+def _direct(theory, A, n_report):
+    if theory == "cyclic":
+        return cyclic_complex(A, n_report)
+    if theory == "simplicial":
+        return hochschild_complex(A, n_report), None
+    return bar_complex(A, n_report), None
+
+
+def _pieces(theory, ext, n_report):
+    """C(A) of an adapted extension with what is read off it."""
+    C_A, quot = _direct(theory, ext.A, n_report)
+    if theory == "cyclic":
+        return C_A, cyclic_kernel_subcomplex(ext, (C_A, quot))
+    return C_A, kernel_subcomplex(ext, C_A)
+
+
+@pytest.mark.parametrize("theory", ["simplicial", "bar", "cyclic"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_read_off_pieces_match_elimination_oracles(name, theory):
+    """C(B) and C(D) read off C(A) equal the complexes built directly
+    from B and D, and Ker has the dimension that elimination finds in
+    the original basis: dim Ker(j^(x)(n+1)), or for cyclic the rank of
+    its image under the cyclic projection."""
+    ext = build(name)
+    C_A, pieces = _pieces(theory, adapted_extension(ext), 1)
+    for piece, alg in ((pieces.CB, ext.B), (pieces.CD, ext.D)):
+        direct = _direct(theory, alg, 1)[0]
+        assert piece.dims == direct.dims
+        assert piece.diffs == direct.diffs
+    quot = _direct(theory, ext.A, 1)[1]
+    kernel_dims = []
+    for n in range(C_A.top_degree + 1):
+        ker = kernel_basis(kron_power(ext.j.matrix, n + 1))
+        kernel_dims.append(rank(quot[n].projection @ ker.basis) if quot
+                           else ker.dim)
+    assert pieces.sub.dims == kernel_dims
+    for psi in (pieces.incl, pieces.comp, pieces.map_ba, pieces.map_ad):
+        assert check_chain_map(psi) is None
+
+
+@pytest.mark.parametrize("theory", ["simplicial", "cyclic"])
+def test_read_off_eliminates_nothing(theory, monkeypatch):
+    ext = adapted_extension(build("nilpotent_corner"))
+    C_A, quot = _direct(theory, ext.A, 1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("elimination while reading off C(A)")
+
+    monkeypatch.setattr(linalg, "_echelon", forbidden)
+    monkeypatch.setattr(linalg.Subspace, "coords", forbidden)
+    if theory == "cyclic":
+        pieces = cyclic_kernel_subcomplex(ext, (C_A, quot))
+    else:
+        pieces = kernel_subcomplex(ext, C_A)
+    assert pieces.sub.dims[0] == 1
+
+
+def _non_ideal_extension():
+    """B = span{e11} inside the upper-triangular 2x2 matrices, written
+    with i = [I; 0] and j = [0 | I] although e11 e12 = e12 leaves B."""
+    A = preset("upper_triangular", k=2)
+    B, D = preset("field"), preset("zero_mult", d=2)
+    i = Matrix.from_dense([[1], [0], [0]])
+    j = Matrix.from_dense([[0, 1, 0], [0, 0, 1]])
+    return Extension(B, A, D, AlgebraHom(B, A, i), AlgebraHom(A, D, j))
+
+
+@pytest.mark.parametrize("theory", ["simplicial", "cyclic"])
+def test_non_closed_restriction_names_degree(theory):
+    with pytest.raises(ClosureViolation,
+                       match="leaves the subcomplex at degree 0"):
+        _pieces(theory, _non_ideal_extension(), 0)
+
+
+def test_cyclic_projection_must_keep_the_kernel():
+    """A projection sending a tensor with a B slot onto a coordinate with
+    none is refused before anything is read off."""
+    ext = adapted_extension(build("nilpotent_corner"))
+    CC_A, quot = cyclic_complex(ext.A, 0)
+    bad = dict(quot[0].projection.entries)
+    bad[(1, 0)] = ONE          # tensor 0 is e12 (B), coordinate 1 is not
+    quot[0] = dataclasses.replace(quot[0], projection=Matrix(3, 3, bad))
+    with pytest.raises(ClosureViolation,
+                       match="off its coordinates at degree 0"):
+        cyclic_kernel_subcomplex(ext, (CC_A, quot))
+
+
+def test_adapted_extension_rejects_non_multiplicative_j():
+    with pytest.raises(ClosureViolation, match="j is not multiplicative"):
+        adapted_extension(_non_ideal_extension())
+
+
+@pytest.mark.parametrize("theory", ["simplicial", "cyclic"])
+def test_read_off_requires_adapted_extension(theory):
+    ext = build("nilpotent_corner")
+    with pytest.raises(ValueError, match="adapted basis"):
+        _pieces(theory, ext, 0)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_adapted_extension_is_valid_and_keeps_b_and_d(name):
+    ext = build(name)
+    adapted = adapted_extension(ext)
+    assert adapted.B is ext.B and adapted.D is ext.D
+    assert validate_extension(adapted) is None
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -102,11 +102,12 @@ def test_cokernel_projection_section(M):
 def test_solve_agrees_with_membership(M, seed):
     rng = random.Random(seed)
     # consistent system: b in the image by construction
-    x = [Q(rng.randint(-3, 3)) for _ in range(M.cols)]
-    b = M.apply(x)
+    x = {c: Q(rng.randint(-3, 3)) for c in range(M.cols)}
+    image = M.apply_dict(x)
+    b = [image.get(r, ZERO) for r in range(M.rows)]
     sol = solve(M, b)
     assert sol is not None
-    assert M.apply(sol) == b
+    assert M.apply_dict(dict(enumerate(sol))) == image
 
 
 def test_solve_inconsistent_returns_none():
