@@ -15,7 +15,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import (
     Matrix, Q, ZERO, ONE, Subspace, hstack,
@@ -57,18 +57,6 @@ class ChainComplex:
     def top_degree(self) -> int:
         return len(self.dims) - 1
 
-    def diff(self, n: int) -> Matrix:
-        """d_n: C_{n+1} -> C_n; zero maps outside the stored range."""
-        if 0 <= n < len(self.diffs):
-            return self.diffs[n]
-        if n == -1:
-            return Matrix.zero(0, self.dims[0])
-        return Matrix.zero(self.dims[n] if n < len(self.dims) else 0, 0)
-
-    def homology_valid_degrees(self):
-        hi = self.top_degree if self.genuine_top else self.top_degree - 1
-        return range(0, max(hi, -1) + 1)
-
     def __repr__(self):
         return "ChainComplex(dims=%r)" % (self.dims,)
 
@@ -87,25 +75,23 @@ def check_complex(K: ChainComplex):
 @dataclass
 class DegreeHomology:
     dim: int
-    cycle_basis: Subspace
     boundary_basis: Subspace
     rep_basis: Matrix          # columns: chosen representative cycles
-    _solver_cache: dict = field(default_factory=dict)
 
-    def class_coords(self, vec: dict):
-        """Coordinates of a cycle's homology class in the representative
-        basis, or None if the vector is not a cycle combination."""
-        key = "solver"
-        solver = self._solver_cache.get(key)
-        if solver is None:
-            solver = hstack([self.boundary_basis.basis, self.rep_basis])
-            self._solver_cache[key] = solver
-        ambient = self.cycle_basis.ambient_dim
-        sol = solve_many(solver, Matrix.from_columns(ambient, [vec]))
+    def class_coords(self, vecs: Matrix):
+        """Coordinates of the homology classes of the columns of vecs in
+        the representative basis, as the columns of a dim x vecs.cols
+        matrix, by one solve; None if some column is not a cycle
+        combination."""
+        if not vecs.cols:
+            return Matrix.zero(self.dim, 0)
+        sol = solve_many(hstack([self.boundary_basis.basis, self.rep_basis]),
+                         vecs)
         if sol is None:
             return None
         nb = self.boundary_basis.dim
-        return {k - nb: v for k, v in sol.column(0).items() if k >= nb}
+        return Matrix(self.dim, vecs.cols, {(r - nb, c): v for (r, c), v
+                                            in sol.entries.items() if r >= nb})
 
 
 def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
@@ -134,8 +120,7 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
     cyc_cols = cycles.basis.column_dicts()
     reps = Matrix.from_columns(K.dims[n], [cyc_cols[c] for c in chosen])
     got = DegreeHomology(dim=cycles.dim - boundaries.dim,
-                         cycle_basis=cycles, boundary_basis=boundaries,
-                         rep_basis=reps)
+                         boundary_basis=boundaries, rep_basis=reps)
     if got.dim != reps.cols:
         raise AssertionError("homology basis selection inconsistent")
     K._homology[n] = got
@@ -227,15 +212,11 @@ def induced_map_on_homology(psi: ChainMap, n: int) -> Matrix:
         if img and not tgt.boundary_basis.contains(img):
             raise WellDefinednessViolation(
                 "boundary not sent to a boundary in degree %d" % n)
-    out_cols = []
-    for col in src.rep_basis.column_dicts():
-        img = comp.apply_dict(col)
-        coords = tgt.class_coords(img)
-        if coords is None:
-            raise WellDefinednessViolation(
-                "cycle not sent to a cycle in degree %d" % n)
-        out_cols.append(coords)
-    return Matrix.from_columns(tgt.dim, out_cols)
+    coords = tgt.class_coords(comp @ src.rep_basis)
+    if coords is None:
+        raise WellDefinednessViolation(
+            "cycle not sent to a cycle in degree %d" % n)
+    return coords
 
 
 def check_quasi_isomorphism(psi: ChainMap, n_report: int):
@@ -292,7 +273,6 @@ def connecting_homomorphism(ses: ShortExactSequenceOfComplexes, n: int) -> Matri
     hk = homology_at(ses.K, n - 1)
     results = []
     for free_value in (0, 1):
-        cols = []
         reps = hl.rep_basis
         if reps.cols == 0:
             results.append(Matrix.zero(hk.dim, 0))
@@ -305,12 +285,10 @@ def connecting_homomorphism(ses: ShortExactSequenceOfComplexes, n: int) -> Matri
         if pulled is None:
             raise LiftFailure("boundary of lift not in the image of inj "
                               "in degree %d" % (n - 1))
-        for col in pulled.column_dicts():
-            coords = hk.class_coords(col)
-            if coords is None:
-                raise LiftFailure("pulled-back chain is not a cycle")
-            cols.append(coords)
-        results.append(Matrix.from_columns(hk.dim, cols))
+        coords = hk.class_coords(pulled)
+        if coords is None:
+            raise LiftFailure("pulled-back chain is not a cycle")
+        results.append(coords)
     if results[0] != results[1]:
         raise LiftFailure("connecting map depends on the lift choice")
     return results[0]
@@ -335,12 +313,12 @@ class LongSequence:
     nodes: list
     maps: list
 
-    def interior_defects(self):
-        return [n.defect for n in self.nodes if not n.boundary]
-
     @property
     def interior_exact(self) -> bool:
-        return all(d == 0 for d in self.interior_defects())
+        """Exact at every node in the window: zero defect and a zero
+        composition of the two adjacent maps."""
+        return all(n.defect == 0 and n.composition_zero
+                   for n in self.nodes if not n.boundary)
 
 
 def _node_defect(incoming: Matrix | None, outgoing: Matrix | None, dim: int):
@@ -393,23 +371,19 @@ def assemble_sequence(entries, maps, *, genuine_top: bool, genuine_bottom: bool,
 
 def long_exact_sequence(ses: ShortExactSequenceOfComplexes,
                         lo: int, hi: int,
-                        labels=("K", "P", "L"),
-                        extend_top: bool = True) -> LongSequence:
+                        labels=("K", "P", "L")) -> LongSequence:
     """The homology long exact sequence of a short exact sequence of
     complexes over degrees lo..hi, with exactness defects at every node
-    where both adjacent maps are available.
+    where both adjacent maps are available.  The topmost node has no
+    incoming map and is reported without a defect unless the sequence
+    genuinely ends there.
 
+    Precondition: ses is valid (check_ses(ses) is None).  Like
+    connecting_homomorphism, this does not re-verify it: the producer
+    does (random_ses checks itself; the read-off of hochschild builds a
+    valid SES, its closure checks covering the input-dependent part).
     For a valid SES all interior defects are zero (the snake lemma);
-    defects are computed, not assumed.  With extend_top the incoming
-    connecting map of the topmost node is computed too (when degree
-    hi+1 homology is still trustworthy); otherwise that single node is
-    reported without a defect."""
-    bad = check_ses(ses)
-    if bad is not None:
-        raise ValueError("invalid short exact sequence of complexes: %r" % (bad,))
-    genuine_top = ses.P.genuine_top and hi == ses.P.top_degree
-    genuine_bottom = lo == 0
-    valid = ses.P.homology_valid_degrees()
+    defects are computed, not assumed."""
     entries = []
     maps = []
     for n in range(hi, lo - 1, -1):
@@ -420,19 +394,9 @@ def long_exact_sequence(ses: ShortExactSequenceOfComplexes,
         entries.append((labels[2], n, homology_at(ses.L, n).dim))
         if n > lo:
             maps.append(connecting_homomorphism(ses, n))
-    # incoming connecting map for the top node, when it is computable
-    if not genuine_top and extend_top and hi + 1 in valid:
-        entries.insert(0, (labels[2], hi + 1, homology_at(ses.L, hi + 1).dim))
-        maps.insert(0, connecting_homomorphism(ses, hi + 1))
-        seq = assemble_sequence(entries, maps, genuine_top=False,
-                                genuine_bottom=genuine_bottom,
-                                window=(lo, hi))
-        # drop the helper node above the window; maps[0] remains the
-        # incoming map of the new first node
-        seq.nodes = seq.nodes[1:]
-        return seq
-    return assemble_sequence(entries, maps, genuine_top=genuine_top,
-                             genuine_bottom=genuine_bottom, window=(lo, hi))
+    return assemble_sequence(
+        entries, maps, genuine_top=ses.P.genuine_top and hi == ses.P.top_degree,
+        genuine_bottom=lo == 0, window=(lo, hi))
 
 
 # -- random generators for property tests ----------------------------

@@ -248,7 +248,12 @@ ExtensionPieces = namedtuple(
 def _read_off(C_A: ChainComplex, counts) -> ExtensionPieces:
     """Split C_A by counts[n][k], the number of B slots of the tensor
     behind coordinate k in degree n: Ker has some, C(B) only B slots,
-    and the quotient C(D) none."""
+    and the quotient C(D) none.
+
+    Ker -> C_A -> C(D) (incl, map_ad) is a valid short exact sequence
+    by construction once Ker passes the closure check: the index lists
+    of Ker and C(D) are disjoint and cover every coordinate, and the
+    closure check is the chain-map condition of both maps."""
     def where(test):
         return [[k for k, c in enumerate(cn) if test(n, c)]
                 for n, cn in enumerate(counts)]

@@ -6,12 +6,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from alghom import complexes
 from alghom.complexes import (
     ChainComplex, ChainMap, LiftFailure, WellDefinednessViolation,
-    check_chain_map, check_complex, check_ses, cohomology_dims,
-    connecting_homomorphism, dualize, dualize_map, homology_at,
-    homology_dims, induced_map_on_homology, long_exact_sequence,
-    random_complex, random_ses,
+    assemble_sequence, check_chain_map, check_complex, check_ses,
+    cohomology_dims, connecting_homomorphism, dualize, dualize_map,
+    homology_at, homology_dims, induced_map_on_homology,
+    long_exact_sequence, random_complex, random_ses,
 )
 from alghom.linalg import Matrix, ONE, Q, rank
 
@@ -48,9 +49,9 @@ def test_homology_dims_match_rank_formula(seed):
     """dim H_n = dim C_n - rank d_{n-1} - rank d_n, with ranks from
     sympy as the independent oracle."""
     K = random_complex(random.Random(seed), 4, 5)
-    for n in K.homology_valid_degrees():
-        r_in = sympy_rank(K.diff(n - 1)) if n > 0 else 0
-        r_out = sympy_rank(K.diff(n)) if n < K.top_degree else 0
+    for n in range(K.top_degree):
+        r_in = sympy_rank(K.diffs[n - 1]) if n > 0 else 0
+        r_out = sympy_rank(K.diffs[n])
         assert homology_at(K, n).dim == K.dims[n] - r_in - r_out
 
 
@@ -58,10 +59,10 @@ def test_homology_dims_match_rank_formula(seed):
 @given(seeds)
 def test_homology_representatives_are_cycles(seed):
     K = random_complex(random.Random(seed), 4, 4)
-    for n in K.homology_valid_degrees():
+    for n in range(K.top_degree):
         h = homology_at(K, n)
         if n > 0 and h.rep_basis.cols:
-            assert (K.diff(n - 1) @ h.rep_basis).is_zero()
+            assert (K.diffs[n - 1] @ h.rep_basis).is_zero()
 
 
 @settings(max_examples=30, deadline=None)
@@ -78,7 +79,7 @@ def test_dualize_reverses_and_transposes():
     K = ChainComplex([1, 2], [d0])
     D = dualize(K)
     assert D.dims == [2, 1]
-    assert D.diff(0) == d0.transpose()
+    assert D.diffs[0] == d0.transpose()
     assert D.genuine_top
 
 
@@ -110,6 +111,43 @@ def test_induced_map_rejects_non_chain_map():
     psi = ChainMap(K, L, [Matrix.identity(1), Matrix.identity(1)])
     with pytest.raises(WellDefinednessViolation):
         induced_map_on_homology(psi, 1)
+
+
+def test_induced_map_solves_once(monkeypatch):
+    """All representatives of the source are mapped to classes by one
+    solve, not one per representative, and a source without homology
+    needs no solve."""
+    K = ChainComplex([3, 2], [Matrix.zero(3, 2)], genuine_top=True)
+    psi = ChainMap(K, K, [Matrix.identity(3), Matrix.identity(2)])
+    L = ChainComplex([1, 1], [Matrix.identity(1)], genuine_top=True)
+    zero = ChainMap(L, L, [Matrix.identity(1), Matrix.identity(1)])
+    homology_at(K, 0)
+    homology_at(L, 1)
+    calls = []
+    real = complexes.solve_many
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "solve_many", counted)
+    assert induced_map_on_homology(psi, 0) == Matrix.identity(3)
+    assert len(calls) == 1
+    assert induced_map_on_homology(zero, 1) == Matrix.zero(0, 0)
+    assert len(calls) == 1
+
+
+def test_interior_exact_needs_zero_compositions():
+    """A node with defect 0 whose adjacent maps do not compose to zero
+    is not exact."""
+    f = Matrix.from_dense([[1, 0], [0, 0]])
+    seq = assemble_sequence([("a", 2, 2), ("b", 1, 2), ("c", 0, 2)], [f, f],
+                            genuine_top=True, genuine_bottom=True,
+                            window=(1, 1))
+    middle = seq.nodes[1]
+    assert (middle.boundary, middle.defect, middle.composition_zero) == (
+        False, 0, False)
+    assert not seq.interior_exact
 
 
 @settings(max_examples=60, deadline=None)

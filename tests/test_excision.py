@@ -13,10 +13,11 @@ import pytest
 
 from alghom import excision
 from alghom.algebra import validate_extension
+from alghom.complexes import check_ses
 from alghom.corpus import CORPUS, FAILURE_CORPUS, UNITAL_CORPUS, build
 from alghom.excision import (
-    THEORIES, SurrogateNotMet, amenable_scenario_check, check_bar_invariance,
-    check_hlgy_cohlgy_equivalence, excision_report,
+    THEORIES, SurrogateNotMet, amenable_scenario_check, build_theory,
+    check_bar_invariance, check_hlgy_cohlgy_equivalence, excision_report,
 )
 from alghom.hochschild import adapted_extension
 from alghom.linalg import Matrix
@@ -66,6 +67,16 @@ def test_bar_invariance_under_hypothesis(name):
 def test_snake_sequences_unconditional(name):
     for seq in report(name)["snake_sequences"]:
         assert seq["exact"], seq["name"]
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_read_off_ses_is_valid(name, theory):
+    """The snake SES Ker -> C(A) -> C(D) and its dual are valid by the
+    read-off's construction; long_exact_sequence relies on it."""
+    td = build_theory(adapted_extension(build(name)), 1, theory)
+    assert check_ses(td.ses) is None
+    assert check_ses(td.dual_ses()) is None
 
 
 @pytest.mark.parametrize("name", sorted(FAILURE_CORPUS))
