@@ -14,11 +14,10 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .linalg import (
-    Matrix, Q, ZERO, ONE, Subspace, hstack,
+    Matrix, Subspace, hstack,
     _echelon, image_basis, kernel_basis, rank, solve_many,
 )
 
@@ -379,9 +378,9 @@ def long_exact_sequence(ses: ShortExactSequenceOfComplexes,
     genuinely ends there.
 
     Precondition: ses is valid (check_ses(ses) is None).  Like
-    connecting_homomorphism, this does not re-verify it: the producer
-    does (random_ses checks itself; the read-off of hochschild builds a
-    valid SES, its closure checks covering the input-dependent part).
+    connecting_homomorphism, this does not re-verify it: its producer
+    establishes it (the read-off of hochschild builds a valid SES, its
+    closure checks covering the input-dependent part).
     For a valid SES all interior defects are zero (the snake lemma);
     defects are computed, not assumed."""
     entries = []
@@ -397,79 +396,3 @@ def long_exact_sequence(ses: ShortExactSequenceOfComplexes,
     return assemble_sequence(
         entries, maps, genuine_top=ses.P.genuine_top and hi == ses.P.top_degree,
         genuine_bottom=lo == 0, window=(lo, hi))
-
-
-# -- random generators for property tests ----------------------------
-
-
-def random_complex(rng: random.Random, degrees: int, max_dim: int) -> ChainComplex:
-    """Random chain complex with d o d = 0, built from factored
-    differentials d_n = B_n P_n with P_n B_{n+1} = 0."""
-    dims = [rng.randrange(0, max_dim + 1) for _ in range(degrees + 1)]
-    diffs = []
-    prev_P = None  # P_{n-1}, constraining Im B_n
-    for n in range(degrees):
-        src, tgt = dims[n + 1], dims[n]
-        if prev_P is None:
-            avail = Subspace(tgt, Matrix.identity(tgt),
-                             coordinate_rows=tuple(range(tgt)))
-        else:
-            avail = kernel_basis(prev_P)
-        r = rng.randrange(0, min(avail.dim, src) + 1)
-        bcols = []
-        for _ in range(r):
-            coeffs = {k: Q(rng.randint(-2, 2)) for k in range(avail.dim)}
-            col = avail.basis.apply_dict({k: v for k, v in coeffs.items() if v})
-            bcols.append(col)
-        B = Matrix.from_columns(tgt, bcols)
-        P = Matrix(r, src, {(a, b): Q(rng.randint(-2, 2))
-                            for a in range(r) for b in range(src)
-                            if rng.random() < 0.7})
-        diffs.append(B @ P)
-        prev_P = P
-    K = ChainComplex(dims, diffs)
-    if check_complex(K) is not None:
-        raise AssertionError("random complex generator produced d*d != 0")
-    return K
-
-
-def random_ses(seed: int, degrees: int = 4, max_dim: int = 4) -> ShortExactSequenceOfComplexes:
-    """Deterministic-in-seed valid SES: P = K (+) L twisted by a
-    degree-(-1) map built from a random chain homotopy, which forces
-    d_P^2 = 0 while keeping the inclusion/projection exact."""
-    rng = random.Random(seed)
-    K = random_complex(rng, degrees, max_dim)
-    L = random_complex(rng, degrees, max_dim)
-    s = [Matrix(K.dims[n], L.dims[n],
-                {(a, b): Q(rng.randint(-2, 2))
-                 for a in range(K.dims[n]) for b in range(L.dims[n])
-                 if rng.random() < 0.6})
-         for n in range(len(K.dims))]
-    dims = [K.dims[n] + L.dims[n] for n in range(len(K.dims))]
-    diffs = []
-    for n in range(len(K.diffs)):
-        h = (K.diffs[n] @ s[n + 1]) - (s[n] @ L.diffs[n])
-        ents = {}
-        for (r, c), v in K.diffs[n].entries.items():
-            ents[(r, c)] = v
-        for (r, c), v in h.entries.items():
-            key = (r, K.dims[n + 1] + c)
-            w = ents.get(key, ZERO) + v
-            if w:
-                ents[key] = w
-        for (r, c), v in L.diffs[n].entries.items():
-            ents[(K.dims[n] + r, K.dims[n + 1] + c)] = v
-        diffs.append(Matrix(dims[n], dims[n + 1], ents))
-    P = ChainComplex(dims, diffs)
-    inj = ChainMap(K, P, [Matrix(dims[n], K.dims[n],
-                                 {(r, r): ONE for r in range(K.dims[n])})
-                          for n in range(len(dims))])
-    surj = ChainMap(P, L, [Matrix(L.dims[n], dims[n],
-                                  {(r, K.dims[n] + r): ONE
-                                   for r in range(L.dims[n])})
-                           for n in range(len(dims))])
-    ses = ShortExactSequenceOfComplexes(K, P, L, inj, surj)
-    bad = check_ses(ses)
-    if bad is not None:
-        raise AssertionError("random SES generator broke its contract: %r" % (bad,))
-    return ses

@@ -10,9 +10,12 @@ The report separates three layers that must not be conflated:
   3. the hypothesis verdicts (one-sided unit of B, vanishing of the bar
      homology of B) that guarantee layer 2.
 
-Each theory builds one complex, C(A) (CC(A) for cyclic) of A in its
-adapted basis, and reads Ker, C(B), C(D) and their maps off it; the
-report reads its bar data off the bar theory.
+Each theory has one complex of A in its adapted basis, C(A) for
+simplicial, bar C(A) for bar, and reads Ker, C(B), C(D) and their maps
+off it.  The cyclic theory does not build: its CC(A) is Connes' complex
+relabelled from the simplicial C(A) (hochschild.connes_complex), which
+excision_report and amenable_scenario_check take from their simplicial
+theory.  The report reads its bar data off the bar theory.
 check_hlgy_cohlgy_equivalence is a view of a report and builds nothing;
 check_bar_invariance and amenable_scenario_check are standalone checks.
 
@@ -35,7 +38,7 @@ from .complexes import (
     long_exact_sequence, check_quasi_isomorphism,
 )
 from .hochschild import (
-    adapted_extension, bar_complex, cyclic_complex,
+    adapted_extension, bar_complex, connes_complex,
     cyclic_kernel_subcomplex, hochschild_complex, kernel_subcomplex,
     trace_space,
 )
@@ -92,17 +95,24 @@ class TheoryData:
 def build_theory(ext: Extension, n_report: int, theory: str,
                  force: bool = False) -> TheoryData:
     """One of the three theories ('simplicial', 'bar', 'cyclic') for an
-    adapted extension (hochschild.adapted_extension): builds C(A), or
-    CC(A) for cyclic, and reads everything else off it by index."""
-    if theory == "cyclic":
-        cyclic_A = cyclic_complex(ext.A, n_report, force)
-        return TheoryData(theory, cyclic_A[0],
-                          *cyclic_kernel_subcomplex(ext, cyclic_A))
-    if theory not in ("simplicial", "bar"):
+    adapted extension (hochschild.adapted_extension): builds C(A), the
+    bar complex for bar, and reads everything else off it by index."""
+    if theory not in THEORIES:
         raise ValueError("unknown theory %r" % theory)
-    build = hochschild_complex if theory == "simplicial" else bar_complex
+    build = bar_complex if theory == "bar" else hochschild_complex
     CA = build(ext.A, n_report, force)
+    if theory == "cyclic":
+        return cyclic_theory(ext, CA)
     return TheoryData(theory, CA, *kernel_subcomplex(ext, CA))
+
+
+def cyclic_theory(ext: Extension, C_A: ChainComplex) -> TheoryData:
+    """The cyclic theory of an adapted extension from C_A, the
+    simplicial complex of its A: CC(A) is relabelled from C_A, and the
+    rest is read off CC(A) by index."""
+    cyclic_A = connes_complex(C_A)
+    return TheoryData("cyclic", cyclic_A[0],
+                      *cyclic_kernel_subcomplex(ext, cyclic_A))
 
 
 def _factor_through(through: Matrix, target_map: Matrix):
@@ -232,7 +242,10 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
     comparison = {}
     betti_ok = True
     for theory in THEORIES:
-        td = build_theory(adapted, n_report, theory, force)
+        td = (cyclic_theory(adapted, C_A) if theory == "cyclic"
+              else build_theory(adapted, n_report, theory, force))
+        if theory == "simplicial":
+            C_A = td.CA
         hom, hconv = candidate_homology_sequence(td, n_report)
         coh, cconv = candidate_cohomology_sequence(td, n_report)
         sequences.append(_sequence_record("%s homology" % theory, hom, hconv))
@@ -390,7 +403,7 @@ def amenable_scenario_check(ext: Extension, n_report: int = 3,
 
     # cyclic pattern: HC^even(B) has the trace dimension, HC^odd(B) = 0,
     # and the cyclic cohomology candidate is exact in the window
-    tdc = build_theory(adapted, n_report, "cyclic", force)
+    tdc = cyclic_theory(adapted, td.CA)
     cseq, _ = candidate_cohomology_sequence(tdc, n_report)
     hc_b = cohomology_dims(tdc.CB, n_report)
     pattern_ok = all(

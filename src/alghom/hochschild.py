@@ -3,9 +3,13 @@
 pieces of an extension's complexes.  In the adapted basis [i(B) | s(D)]
 of A (adapted_extension), Ker(j (x) ... (x) j), C(B) and the quotient
 C(D) are spanned by the basis tensors with some, only and no B slots,
-and are read off the one complex C(A) by index.
+and are read off the one complex C(A) by index.  The cyclic complex
+CC(A) is Connes' complex C(A) / Im(1 - t), one coordinate per rotation
+orbit of basis tensors on which t acts by +1 (connes_complex); it is
+relabelled from C(A), and its pieces are read off it in the same way.
 
-Index convention (shared with linalg.kron): a basis tensor
+Index convention (shared by every builder, rotation_orbits and the
+B-slot counts): a basis tensor
 e_{i0} (x) ... (x) e_{in} of the degree-n chain space is flattened
 row-major with the leftmost factor most significant:
 flat = i0 * d^n + i1 * d^(n-1) + ... + in.
@@ -31,7 +35,7 @@ from .algebra import (
 from .complexes import ChainComplex, ChainMap, check_complex
 from .linalg import (
     Matrix, ZERO, ONE, Subspace,
-    cokernel, hstack, kernel_basis, kron, kron_power, rank, solve_many,
+    cokernel, hstack, kernel_basis, solve_many,
 )
 
 DEGREE_CAP = 10 ** 6
@@ -141,34 +145,97 @@ class CyclicQuotientData:
 
 
 def cyclic_quotient(A: Algebra, n: int) -> CyclicQuotientData:
+    """C_n(A) / Im(1 - t_n) by elimination; the oracle for
+    rotation_orbits."""
     t = cyclic_operator(A, n)
     omt = Matrix.identity(t.rows) - t
     cok = cokernel(omt)
     return CyclicQuotientData(n, t, omt, cok.projection, cok.section, cok.dim)
 
 
-def cyclic_complex(A: Algebra, n_report: int, force: bool = False):
-    """Cyclic quotient complex CC(A) with its per-degree quotient data.
+Orbits = namedtuple("Orbits", "reps coord sign")
 
-    The induced differential is computed through the deterministic
-    section of the projection; well-definedness (d maps Im(1 - t) into
-    Im(1 - t)) is verified exactly before quotienting."""
-    C = hochschild_complex(A, n_report, force)
-    n_internal = n_report + 2
-    quotients = [cyclic_quotient(A, n) for n in range(n_internal + 1)]
-    dims = [q.cc_dim for q in quotients]
-    diffs = []
-    for n in range(n_internal):
-        proj_d = quotients[n].projection @ C.diffs[n]
-        if not (proj_d @ quotients[n + 1].one_minus_t).is_zero():
+
+def rotation_orbits(d: int, n: int) -> Orbits:
+    """The orbits of t_n on the flat indices of degree n over a
+    d-dimensional algebra: t_n e_x = s e_tau(x), with the rotation
+    tau(x) = (x mod d) d^n + x div d and s = (-1)^n.
+
+    An orbit of length L survives in C_n / Im(1 - t_n) iff s^L = +1.
+    Its coordinate is represented by its largest flat index, coordinates
+    are ordered by that index (reps), and tau^k(rep) projects to
+    s^k e_orbit: x projects to sign[x] e_coord[x], and coord[x] is -1
+    when its orbit dies.  These are the free coordinates, their order
+    and the projection that cokernel(1 - t_n) picks."""
+    size, top, odd = d ** (n + 1), d ** n, n % 2
+    rep_of, sign, alive = [None] * size, [1] * size, []
+    # descending, so the first unvisited index of an orbit is its largest
+    for rep in range(size - 1, -1, -1):
+        if rep_of[rep] is not None:
+            continue
+        x, s, length = rep, 1, 0
+        while rep_of[x] is None:
+            rep_of[x], sign[x] = rep, s
+            x, s, length = (x % d) * top + x // d, -s if odd else s, length + 1
+        if not (odd and length % 2):
+            alive.append(rep)
+    reps = alive[::-1]
+    index = {rep: k for k, rep in enumerate(reps)}
+    return Orbits(reps, [index.get(r, -1) for r in rep_of], sign)
+
+
+def _relabel(dn: Matrix, rows: Orbits, cols: Orbits, n: int) -> Matrix:
+    """The differential induced by dn: C_{n+1} -> C_n on the orbit
+    coordinates.  Column k is dn's column at reps[k] with each row mapped
+    to its orbit and sign (rows in dead orbits dropped).  The quotient
+    map is well defined, proj @ dn @ (1 - t) = 0, iff every relabelled
+    column of dn is its sign times its orbit's column, and relabels to 0
+    in a dead orbit; this is checked in one pass over dn's nonzeros."""
+    images = [{} for _ in range(dn.cols)]
+    for (r, c), v in dn.entries.items():
+        k = rows.coord[r]
+        if k >= 0:
+            img = images[c]
+            img[k] = img.get(k, ZERO) + (v if rows.sign[r] > 0 else -v)
+    out = [None] * len(cols.reps)
+    # descending, so each orbit's representative comes first
+    for x in range(dn.cols - 1, -1, -1):
+        img = {k: v for k, v in images[x].items() if v}
+        k = cols.coord[x]
+        if k >= 0 and x == cols.reps[k]:
+            out[k] = img
+            continue
+        if k < 0:
+            ok = not img
+        elif cols.sign[x] > 0:
+            ok = img == out[k]
+        else:
+            ok = img == {r: -v for r, v in out[k].items()}
+        if not ok:
             raise InducedMapNotWellDefined(
                 "differential does not preserve Im(1 - t) at degree %d" % n)
-        diffs.append(proj_d @ quotients[n + 1].section)
-    CC = ChainComplex(dims, diffs)
+    return Matrix.from_columns(len(rows.reps), out)
+
+
+def connes_complex(C: ChainComplex):
+    """Connes' complex C^lambda = C / Im(1 - t) of the simplicial
+    complex C of an algebra, with its per-degree rotation_orbits.  One
+    coordinate per surviving rotation orbit; C is relabelled, not
+    rebuilt, and nothing is eliminated."""
+    orbits = [rotation_orbits(C.dims[0], n) for n in range(len(C.dims))]
+    CC = ChainComplex([len(o.reps) for o in orbits],
+                      [_relabel(dn, orbits[n], orbits[n + 1], n)
+                       for n, dn in enumerate(C.diffs)])
     bad = check_complex(CC)
     if bad is not None:
         raise AssertionError("cyclic quotient complex is not a complex: %r" % (bad,))
-    return CC, quotients
+    return CC, orbits
+
+
+def cyclic_complex(A: Algebra, n_report: int, force: bool = False):
+    """Cyclic complex CC(A) with its per-degree rotation_orbits:
+    connes_complex of the simplicial complex of A."""
+    return connes_complex(hochschild_complex(A, n_report, force))
 
 
 def trace_space(A: Algebra) -> Subspace:
@@ -291,46 +358,12 @@ def kernel_subcomplex(ext: Extension, C_A: ChainComplex) -> ExtensionPieces:
 
 
 def cyclic_kernel_subcomplex(ext: Extension, cyclic_A) -> ExtensionPieces:
-    """kernel_subcomplex for the cyclic quotient: cyclic_A is what
-    cyclic_complex returns for the A of an adapted extension.
-
-    Quotient coordinate qi is the class of the tensor q with
-    section @ e_qi = e_q, and counts the B slots of q.  Every tensor
-    with a B slot must project onto such coordinates; the image of
-    Ker(j (x) ... (x) j) is then exactly their span."""
-    CC_A, quot_A = cyclic_A
+    """kernel_subcomplex for Connes' complex: cyclic_A is what
+    connes_complex returns for the simplicial complex of the A of an
+    adapted extension.  Rotation keeps the number of B slots, so each
+    orbit coordinate counts the B slots of its representative, and the
+    pieces are coordinate pieces of CC(A) as well."""
+    CC_A, orbits = cyclic_A
     slots = _b_slot_counts(ext, CC_A.top_degree)
-    counts = []
-    for n, q in enumerate(quot_A):
-        coord = [slots[n][next(iter(col))] for col in q.section.column_dicts()]
-        for k, col in enumerate(q.projection.column_dicts()):
-            if slots[n][k] and not all(coord[qi] for qi in col):
-                raise ClosureViolation(
-                    "cyclic projection moves the kernel off its "
-                    "coordinates at degree %d" % n)
-        counts.append(coord)
-    return _read_off(CC_A, counts)
-
-
-def verify_kernel_span(ext: Extension, n: int):
-    """Check that Ker(j^(x)n) equals the sum over positions p of
-    A^(x)(p) (x) i(B) (x) A^(x)(n-1-p), by containment both ways and an
-    inclusion-exclusion dimension count.  Returns None when the check
-    passes, else a counterexample description."""
-    if n < 1:
-        raise ValueError("tensor power must be >= 1")
-    a, t = ext.A.dim, ext.D.dim
-    J = kron_power(ext.j.matrix, n)
-    ker = kernel_basis(J)
-    span = hstack([kron(kron(Matrix.identity(a ** p), ext.i.matrix),
-                        Matrix.identity(a ** (n - 1 - p))) for p in range(n)])
-    span_rank = rank(span)
-    expected = a ** n - t ** n
-    if ker.dim != expected:
-        return {"reason": "kernel dimension", "got": ker.dim, "expected": expected}
-    if span_rank != expected:
-        return {"reason": "span dimension", "got": span_rank, "expected": expected}
-    # containment: every spanning column must be annihilated by J
-    if not (J @ span).is_zero():
-        return {"reason": "span not inside kernel"}
-    return None
+    return _read_off(CC_A, [[slots[n][rep] for rep in orb.reps]
+                            for n, orb in enumerate(orbits)])

@@ -130,8 +130,13 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      {(c, r): v for (r, c), v in self.entries.items()})
+        """The transpose, which keeps its source under "transpose_of"
+        so the two share one RREF (_shared_rref).  The link is one-way:
+        a source keeps no transpose alive."""
+        t = Matrix(self.cols, self.rows,
+                   {(c, r): v for (r, c), v in self.entries.items()})
+        t._cache["transpose_of"] = self
+        return t
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -282,21 +287,33 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
     return pivots, leftover
 
 
+def _shared_rref(M: Matrix, key: str, rows, ncols: int):
+    """The RREF cached on M under key: "rref" of its rows or "rref_t"
+    of its columns.  The RREF of a transpose's rows is the RREF of its
+    source's columns and the other way round, so a transpose reads and
+    writes its source's cache under the swapped key, and whichever side
+    eliminates first serves both."""
+    got = M._cache.get(key)
+    if got is None:
+        source = M._cache.get("transpose_of")
+        swapped = "rref_t" if key == "rref" else "rref"
+        if source is not None:
+            got = source._cache.get(swapped)
+        if got is None:
+            got = _echelon(rows(), ncols, reduce=True)
+        M._cache[key] = got
+        if source is not None:
+            source._cache[swapped] = got
+    return got
+
+
 def _rref_of_transpose(M: Matrix):
     """Cached RREF of the transpose (rows = columns of M)."""
-    got = M._cache.get("rref_t")
-    if got is None:
-        got = _echelon(M.transpose().row_dicts(), M.rows, reduce=True)
-        M._cache["rref_t"] = got
-    return got
+    return _shared_rref(M, "rref_t", lambda: M.transpose().row_dicts(), M.rows)
 
 
 def _rref(M: Matrix):
-    got = M._cache.get("rref")
-    if got is None:
-        got = _echelon(M.row_dicts(), M.cols, reduce=True)
-        M._cache["rref"] = got
-    return got
+    return _shared_rref(M, "rref", M.row_dicts, M.cols)
 
 
 # -- subspaces -------------------------------------------------------
@@ -478,26 +495,6 @@ def solve_many(M: Matrix, B: Matrix, free_value=0):
             for f in free_cols:
                 out[(f, k)] = fv
     return Matrix(n, B.cols, out)
-
-
-def kron(M: Matrix, N: Matrix) -> Matrix:
-    """Kronecker product, leftmost factor most significant: entry
-    ((i1, i2), (j1, j2)) lives at (i1 * N.rows + i2, j1 * N.cols + j2).
-    This is the same index map used for chain-space basis tensors."""
-    ents = {}
-    for (r1, c1), v1 in M.entries.items():
-        for (r2, c2), v2 in N.entries.items():
-            ents[(r1 * N.rows + r2, c1 * N.cols + c2)] = v1 * v2
-    return Matrix(M.rows * N.rows, M.cols * N.cols, ents)
-
-
-def kron_power(M: Matrix, n: int) -> Matrix:
-    if n < 1:
-        raise ValueError("kron_power needs n >= 1")
-    out = M
-    for _ in range(n - 1):
-        out = kron(out, M)
-    return out
 
 
 def exactness_defect(f: Matrix, g: Matrix) -> int:

@@ -1,13 +1,137 @@
-"""Shared helpers for the property suites: snake-lemma checks on random
-short exact sequences, the homology/cohomology window implications
-for injective chain maps, and a fixed change of basis for extensions."""
+"""Shared helpers for the property suites: random chain complexes and
+short exact sequences, snake-lemma checks on them, the
+homology/cohomology window implications for injective chain maps,
+Kronecker products and the kernel span lemma they check, and a fixed
+change of basis for extensions."""
+
+import random
 
 from alghom.algebra import Algebra, quotient_extension
 from alghom.complexes import (
-    connecting_homomorphism, dualize, dualize_map, homology_at,
-    induced_map_on_homology, long_exact_sequence, random_ses,
+    ChainComplex, ChainMap, ShortExactSequenceOfComplexes, check_complex,
+    check_ses, connecting_homomorphism, dualize_map,
+    induced_map_on_homology, long_exact_sequence,
 )
-from alghom.linalg import Matrix, rank
+from alghom.linalg import (
+    Matrix, ONE, Q, Subspace, ZERO, hstack, kernel_basis, rank,
+)
+
+
+def random_complex(rng: random.Random, degrees: int, max_dim: int) -> ChainComplex:
+    """Random chain complex with d o d = 0, built from factored
+    differentials d_n = B_n P_n with P_n B_{n+1} = 0."""
+    dims = [rng.randrange(0, max_dim + 1) for _ in range(degrees + 1)]
+    diffs = []
+    prev_P = None  # P_{n-1}, constraining Im B_n
+    for n in range(degrees):
+        src, tgt = dims[n + 1], dims[n]
+        if prev_P is None:
+            avail = Subspace(tgt, Matrix.identity(tgt),
+                             coordinate_rows=tuple(range(tgt)))
+        else:
+            avail = kernel_basis(prev_P)
+        r = rng.randrange(0, min(avail.dim, src) + 1)
+        bcols = []
+        for _ in range(r):
+            coeffs = {k: Q(rng.randint(-2, 2)) for k in range(avail.dim)}
+            col = avail.basis.apply_dict({k: v for k, v in coeffs.items() if v})
+            bcols.append(col)
+        B = Matrix.from_columns(tgt, bcols)
+        P = Matrix(r, src, {(a, b): Q(rng.randint(-2, 2))
+                            for a in range(r) for b in range(src)
+                            if rng.random() < 0.7})
+        diffs.append(B @ P)
+        prev_P = P
+    K = ChainComplex(dims, diffs)
+    if check_complex(K) is not None:
+        raise AssertionError("random complex generator produced d*d != 0")
+    return K
+
+
+def random_ses(seed: int, degrees: int = 4, max_dim: int = 4) -> ShortExactSequenceOfComplexes:
+    """Deterministic-in-seed valid SES: P = K (+) L twisted by a
+    degree-(-1) map built from a random chain homotopy, which forces
+    d_P^2 = 0 while keeping the inclusion/projection exact."""
+    rng = random.Random(seed)
+    K = random_complex(rng, degrees, max_dim)
+    L = random_complex(rng, degrees, max_dim)
+    s = [Matrix(K.dims[n], L.dims[n],
+                {(a, b): Q(rng.randint(-2, 2))
+                 for a in range(K.dims[n]) for b in range(L.dims[n])
+                 if rng.random() < 0.6})
+         for n in range(len(K.dims))]
+    dims = [K.dims[n] + L.dims[n] for n in range(len(K.dims))]
+    diffs = []
+    for n in range(len(K.diffs)):
+        h = (K.diffs[n] @ s[n + 1]) - (s[n] @ L.diffs[n])
+        ents = {}
+        for (r, c), v in K.diffs[n].entries.items():
+            ents[(r, c)] = v
+        for (r, c), v in h.entries.items():
+            key = (r, K.dims[n + 1] + c)
+            w = ents.get(key, ZERO) + v
+            if w:
+                ents[key] = w
+        for (r, c), v in L.diffs[n].entries.items():
+            ents[(K.dims[n] + r, K.dims[n + 1] + c)] = v
+        diffs.append(Matrix(dims[n], dims[n + 1], ents))
+    P = ChainComplex(dims, diffs)
+    inj = ChainMap(K, P, [Matrix(dims[n], K.dims[n],
+                                 {(r, r): ONE for r in range(K.dims[n])})
+                          for n in range(len(dims))])
+    surj = ChainMap(P, L, [Matrix(L.dims[n], dims[n],
+                                  {(r, K.dims[n] + r): ONE
+                                   for r in range(L.dims[n])})
+                           for n in range(len(dims))])
+    ses = ShortExactSequenceOfComplexes(K, P, L, inj, surj)
+    bad = check_ses(ses)
+    if bad is not None:
+        raise AssertionError("random SES generator broke its contract: %r" % (bad,))
+    return ses
+
+
+def kron(M: Matrix, N: Matrix) -> Matrix:
+    """Kronecker product, leftmost factor most significant: entry
+    ((i1, i2), (j1, j2)) lives at (i1 * N.rows + i2, j1 * N.cols + j2).
+    This is the same index map used for chain-space basis tensors."""
+    ents = {}
+    for (r1, c1), v1 in M.entries.items():
+        for (r2, c2), v2 in N.entries.items():
+            ents[(r1 * N.rows + r2, c1 * N.cols + c2)] = v1 * v2
+    return Matrix(M.rows * N.rows, M.cols * N.cols, ents)
+
+
+def kron_power(M: Matrix, n: int) -> Matrix:
+    if n < 1:
+        raise ValueError("kron_power needs n >= 1")
+    out = M
+    for _ in range(n - 1):
+        out = kron(out, M)
+    return out
+
+
+def verify_kernel_span(ext, n: int):
+    """Check that Ker(j^(x)n) equals the sum over positions p of
+    A^(x)(p) (x) i(B) (x) A^(x)(n-1-p), by containment both ways and an
+    inclusion-exclusion dimension count.  Returns None when the check
+    passes, else a counterexample description."""
+    if n < 1:
+        raise ValueError("tensor power must be >= 1")
+    a, t = ext.A.dim, ext.D.dim
+    J = kron_power(ext.j.matrix, n)
+    ker = kernel_basis(J)
+    span = hstack([kron(kron(Matrix.identity(a ** p), ext.i.matrix),
+                        Matrix.identity(a ** (n - 1 - p))) for p in range(n)])
+    span_rank = rank(span)
+    expected = a ** n - t ** n
+    if ker.dim != expected:
+        return {"reason": "kernel dimension", "got": ker.dim, "expected": expected}
+    if span_rank != expected:
+        return {"reason": "span dimension", "got": span_rank, "expected": expected}
+    # containment: every spanning column must be annihilated by J
+    if not (J @ span).is_zero():
+        return {"reason": "span not inside kernel"}
+    return None
 
 
 def snake_check(seed: int, degrees: int = 4, max_dim: int = 4) -> bool:

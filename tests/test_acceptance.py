@@ -17,10 +17,10 @@ from alghom.excision import (
 )
 from alghom.hochschild import (
     adapted_extension, bar_complex, cyclic_complex, hochschild_complex,
-    kernel_subcomplex, verify_kernel_span,
+    kernel_subcomplex,
 )
 
-from support import prop_window_check, snake_check
+from support import prop_window_check, snake_check, verify_kernel_span
 
 
 def conclude(num: int, ok: bool, detail: str):

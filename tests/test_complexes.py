@@ -6,17 +6,22 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from alghom import complexes
+from alghom import complexes, linalg
+from alghom.algebra import preset
+from alghom.hochschild import hochschild_complex
 from alghom.complexes import (
     ChainComplex, ChainMap, LiftFailure, WellDefinednessViolation,
     assemble_sequence, check_chain_map, check_complex, check_ses,
     cohomology_dims, connecting_homomorphism, dualize, dualize_map,
     homology_at, homology_dims, induced_map_on_homology,
-    long_exact_sequence, random_complex, random_ses,
+    long_exact_sequence,
 )
 from alghom.linalg import Matrix, ONE, Q, rank
 
-from support import lemma_vanishing_check, prop_window_check, snake_check
+from support import (
+    lemma_vanishing_check, prop_window_check, random_complex, random_ses,
+    snake_check,
+)
 
 
 def sympy_rank(M):
@@ -81,6 +86,28 @@ def test_dualize_reverses_and_transposes():
     assert D.dims == [2, 1]
     assert D.diffs[0] == d0.transpose()
     assert D.genuine_top
+
+
+@pytest.mark.parametrize("first, second", [(homology_dims, cohomology_dims),
+                                           (cohomology_dims, homology_dims)],
+                         ids=["homology-first", "cohomology-first"])
+def test_dual_shares_rrefs_with_its_complex(first, second, monkeypatch):
+    """A dual differential is the transpose of one of K's, and their
+    RREFs are one: whichever side runs first, the other side runs no
+    reduced elimination."""
+    K = hochschild_complex(preset("upper_triangular", k=2), 2)
+    real, reduced = linalg._echelon, []
+
+    def counted(*args, **kwargs):
+        reduced.append(kwargs.get("reduce", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    first(K, 3)
+    assert any(reduced)
+    reduced.clear()
+    second(K, 3)
+    assert not any(reduced)
 
 
 def test_dualize_is_cached_and_shared_by_dual_maps():

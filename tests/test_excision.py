@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from alghom import excision
+from alghom import excision, hochschild
 from alghom.algebra import validate_extension
 from alghom.complexes import check_ses
 from alghom.corpus import CORPUS, FAILURE_CORPUS, UNITAL_CORPUS, build
@@ -236,11 +236,46 @@ def test_bar_invariance_builds_each_bar_complex_once(monkeypatch):
     assert out["HR_A"] == out["HR_dual_A"] == [0, 0, 0]
 
 
+def _count_hochschild_builds(monkeypatch):
+    """Record the algebra of every hochschild_complex call, made by
+    excision directly or through hochschild (as cyclic_complex does)."""
+    calls = []
+    real = hochschild.hochschild_complex
+
+    def counted(alg, *args, **kwargs):
+        calls.append(alg)
+        return real(alg, *args, **kwargs)
+
+    for module in (excision, hochschild):
+        monkeypatch.setattr(module, "hochschild_complex", counted)
+    return calls
+
+
+def _builds_one_cyclic_complex(check, name, monkeypatch):
+    """One simplicial C(A) per run, and Connes' complex is relabelled
+    from it once."""
+    builds = _count_hochschild_builds(monkeypatch)
+    relabelled = []
+    real = excision.connes_complex
+
+    def counted(C):
+        relabelled.append(C)
+        return real(C)
+
+    monkeypatch.setattr(excision, "connes_complex", counted)
+    ext = build(name)
+    check(ext, 1)
+    assert _mults(builds) == _mults([adapted_extension(ext).A])
+    assert len(relabelled) == 1 and relabelled[0].dims[0] == ext.A.dim
+
+
 def test_report_builds_one_cyclic_complex(monkeypatch):
-    calls = _count_builds(monkeypatch, "cyclic_complex")
-    ext = build("nilpotent_corner")
-    excision_report(ext, 1)
-    assert _mults(calls) == _mults([adapted_extension(ext).A])
+    _builds_one_cyclic_complex(excision_report, "nilpotent_corner", monkeypatch)
+
+
+def test_amenable_check_builds_one_cyclic_complex(monkeypatch):
+    _builds_one_cyclic_complex(amenable_scenario_check, "two_of_three",
+                               monkeypatch)
 
 
 def _without_unit_element(report):

@@ -1,12 +1,12 @@
 """Hochschild/cyclic/bar complexes against an independently coded
 dense oracle, plus hand-checkable dimension tables."""
 
-import dataclasses
 import itertools
+import math
 
 import pytest
 
-from alghom import linalg
+from alghom import hochschild, linalg
 from alghom.algebra import (
     AlgebraHom, Extension, preset, validate_extension,
 )
@@ -15,14 +15,15 @@ from alghom.complexes import (
 )
 from alghom.corpus import CORPUS, build
 from alghom.hochschild import (
-    ClosureViolation, DegreeCapExceeded, adapted_extension, bar_complex,
-    check_degree_cap, cyclic_complex, cyclic_kernel_subcomplex,
-    cyclic_operator, hochschild_complex, kernel_subcomplex, trace_space,
-    verify_kernel_span,
+    ClosureViolation, DegreeCapExceeded, InducedMapNotWellDefined,
+    adapted_extension, bar_complex, check_degree_cap, connes_complex,
+    cyclic_complex, cyclic_kernel_subcomplex, cyclic_operator,
+    cyclic_quotient, hochschild_complex, kernel_subcomplex,
+    rotation_orbits, trace_space,
 )
-from alghom.linalg import (
-    Matrix, ONE, Q, ZERO, kernel_basis, kron_power, rank,
-)
+from alghom.linalg import Matrix, ONE, ZERO, kernel_basis, rank
+
+from support import kron_power, verify_kernel_span
 
 
 def oracle_differential(A, n, wrap):
@@ -112,11 +113,57 @@ def test_cyclic_operator_order():
 def test_cyclic_quotient_dims():
     # CC_0 = C_0 = A; 1 - t_0 = 0
     A = preset("matrix", k=2)
-    CC, quot = cyclic_complex(A, 2)
+    CC, orbits = cyclic_complex(A, 2)
     assert CC.dims[0] == A.dim
-    assert quot[0].one_minus_t.is_zero()
-    for q in quot[1:]:
-        assert q.cc_dim == q.t_matrix.rows - rank(q.one_minus_t)
+    assert cyclic_quotient(A, 0).one_minus_t.is_zero()
+    for n, orb in enumerate(orbits):
+        q = cyclic_quotient(A, n)
+        assert CC.dims[n] == len(orb.reps) == q.t_matrix.rows - rank(q.one_minus_t)
+
+
+def _cokernel_complex(A, n_report):
+    """CC(A) by elimination: each C_n / Im(1 - t_n) from cokernel, and
+    the differential projection @ d @ section."""
+    C = hochschild_complex(A, n_report)
+    quot = [cyclic_quotient(A, n) for n in range(C.top_degree + 1)]
+    return ([q.cc_dim for q in quot],
+            [quot[n].projection @ d @ quot[n + 1].section
+             for n, d in enumerate(C.diffs)])
+
+
+# the presets of the homology-presets benchmark workload
+PRESETS = {"truncated_poly": {"m": 3}, "upper_triangular": {"k": 2},
+           "zero_mult": {"d": 3}, "matrix": {"k": 2}}
+
+
+@pytest.mark.parametrize(
+    "A, n_report",
+    [(adapted_extension(build(name)).A, 1) for name in sorted(CORPUS)]
+    + [(preset(name, **params), n) for name, params in PRESETS.items()
+       for n in range(3)],
+    ids=sorted(CORPUS) + ["%s-%d" % (name, n) for name in PRESETS
+                          for n in range(3)])
+def test_orbit_complex_matches_cokernel_complex(A, n_report):
+    CC, _ = cyclic_complex(A, n_report)
+    dims, diffs = _cokernel_complex(A, n_report)
+    assert CC.dims == dims
+    assert CC.diffs == diffs
+
+
+def _signed_necklaces(d, n):
+    m = n + 1
+    total = sum(((-1) ** n) ** j * d ** math.gcd(j, m) for j in range(m))
+    assert total % m == 0
+    return total // m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_orbit_count_is_signed_necklace_count(d):
+    """The surviving orbits of t_n on (Q^d)^(n+1) number
+    (1/m) sum_j ((-1)^n)^j d^gcd(j, m), m = n + 1, the dimension of
+    the t_n-invariants."""
+    for n in range(6):
+        assert len(rotation_orbits(d, n).reps) == _signed_necklaces(d, n)
 
 
 def test_trace_space_dims():
@@ -182,12 +229,12 @@ def test_read_off_pieces_match_elimination_oracles(name, theory):
         direct = _direct(theory, alg, 1)[0]
         assert piece.dims == direct.dims
         assert piece.diffs == direct.diffs
-    quot = _direct(theory, ext.A, 1)[1]
     kernel_dims = []
     for n in range(C_A.top_degree + 1):
         ker = kernel_basis(kron_power(ext.j.matrix, n + 1))
-        kernel_dims.append(rank(quot[n].projection @ ker.basis) if quot
-                           else ker.dim)
+        kernel_dims.append(
+            rank(cyclic_quotient(ext.A, n).projection @ ker.basis)
+            if theory == "cyclic" else ker.dim)
     assert pieces.sub.dims == kernel_dims
     for psi in (pieces.incl, pieces.comp, pieces.map_ba, pieces.map_ad):
         assert check_chain_map(psi) is None
@@ -196,18 +243,28 @@ def test_read_off_pieces_match_elimination_oracles(name, theory):
 @pytest.mark.parametrize("theory", ["simplicial", "cyclic"])
 def test_read_off_eliminates_nothing(theory, monkeypatch):
     ext = adapted_extension(build("nilpotent_corner"))
-    C_A, quot = _direct(theory, ext.A, 1)
+    C_A, orbits = _direct(theory, ext.A, 1)
+    _forbid_elimination(monkeypatch)
+    if theory == "cyclic":
+        pieces = cyclic_kernel_subcomplex(ext, (C_A, orbits))
+    else:
+        pieces = kernel_subcomplex(ext, C_A)
+    assert pieces.sub.dims[0] == 1
 
+
+def _forbid_elimination(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("elimination while reading off C(A)")
 
     monkeypatch.setattr(linalg, "_echelon", forbidden)
     monkeypatch.setattr(linalg.Subspace, "coords", forbidden)
-    if theory == "cyclic":
-        pieces = cyclic_kernel_subcomplex(ext, (C_A, quot))
-    else:
-        pieces = kernel_subcomplex(ext, C_A)
-    assert pieces.sub.dims[0] == 1
+
+
+def test_connes_complex_eliminates_nothing(monkeypatch):
+    C = hochschild_complex(preset("matrix", k=2), 1)
+    _forbid_elimination(monkeypatch)
+    CC, _ = connes_complex(C)
+    assert CC.dims == [4, 6, 24, 66]
 
 
 def _non_ideal_extension():
@@ -227,17 +284,41 @@ def test_non_closed_restriction_names_degree(theory):
         _pieces(theory, _non_ideal_extension(), 0)
 
 
-def test_cyclic_projection_must_keep_the_kernel():
-    """A projection sending a tensor with a B slot onto a coordinate with
-    none is refused before anything is read off."""
-    ext = adapted_extension(build("nilpotent_corner"))
-    CC_A, quot = cyclic_complex(ext.A, 0)
-    bad = dict(quot[0].projection.entries)
-    bad[(1, 0)] = ONE          # tensor 0 is e12 (B), coordinate 1 is not
-    quot[0] = dataclasses.replace(quot[0], projection=Matrix(3, 3, bad))
-    with pytest.raises(ClosureViolation,
-                       match="off its coordinates at degree 0"):
-        cyclic_kernel_subcomplex(ext, (CC_A, quot))
+# In M_2 (basis e11, e12, e21, e22), e12 (x) e21 has flat index 6 and
+# t_1 sends it to -e21 (x) e12 at index 9, its orbit's representative:
+# e_6 projects to -e_orbit, and d_0 e_6 = e11 - e22 is not zero.
+def _flip_table_sign(monkeypatch, C):
+    real = hochschild.rotation_orbits
+
+    def flipped(d, n):
+        orb = real(d, n)
+        if n == 1:
+            sign = list(orb.sign)
+            sign[6] = -sign[6]
+            orb = orb._replace(sign=sign)
+        return orb
+
+    monkeypatch.setattr(hochschild, "rotation_orbits", flipped)
+    return C
+
+
+def _flip_differential_sign(monkeypatch, C):
+    d0 = dict(C.diffs[0].entries)
+    d0[(0, 6)] = -d0[(0, 6)]
+    C.diffs[0] = Matrix(C.diffs[0].rows, C.diffs[0].cols, d0)
+    return C
+
+
+@pytest.mark.parametrize("flip", [_flip_table_sign, _flip_differential_sign],
+                         ids=["orbit-table", "differential"])
+def test_cyclic_sign_flip_is_not_well_defined(flip, monkeypatch):
+    """A sign flipped in one orbit's entry, of the orbit table or of d
+    in a column that is not its orbit's representative, breaks
+    proj @ d @ (1 - t) = 0 and is refused."""
+    C = flip(monkeypatch, hochschild_complex(preset("matrix", k=2), 0))
+    assert C.diffs[0].entries[(0, 6)] in (ONE, -ONE)
+    with pytest.raises(InducedMapNotWellDefined, match="at degree 0"):
+        connes_complex(C)
 
 
 def test_adapted_extension_rejects_non_multiplicative_j():

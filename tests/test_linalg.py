@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 from alghom.linalg import (
     CompositionNotZero, Matrix, ONE, Q, Subspace, ZERO, _rref_of_transpose,
     cokernel, exactness_defect, format_q, hstack, image_basis, kernel_basis,
-    kron, kron_power, parse_q, rank, solve, solve_many,
+    parse_q, rank, solve, solve_many,
 )
+
+from support import kron, kron_power
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=5):
