@@ -110,6 +110,37 @@ def validate_algebra(alg: Algebra):
 # -- presets ---------------------------------------------------------
 
 
+# each preset's parameters: an integer's least value, or Algebra
+_PRESET_PARAMS = {
+    "field": {}, "zero_mult": {"d": 0}, "truncated_poly": {"m": 1},
+    "matrix": {"k": 1}, "upper_triangular": {"k": 1},
+    "direct_sum": {"a": Algebra, "b": Algebra},
+}
+
+
+def _check_preset_params(name, params):
+    """ValueError naming the parameter unless params are exactly the
+    preset's, each an algebra or an integer in range as it needs."""
+    if not isinstance(name, str) or name not in _PRESET_PARAMS:
+        raise ValueError("unknown preset %r" % (name,))
+    spec = _PRESET_PARAMS[name]
+    odd = sorted(set(params) ^ set(spec))
+    if odd:
+        raise ValueError("%s %s parameter %r" % (
+            name, "takes no" if odd[0] in params else "needs", odd[0]))
+    for key, least in spec.items():
+        value = params[key]
+        if least is Algebra:
+            if not isinstance(value, Algebra):
+                raise ValueError("%s parameter %r must be an algebra, got %r"
+                                 % (name, key, value))
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("%s parameter %r must be an integer, got %r"
+                             % (name, key, value))
+        elif value < least:
+            raise ValueError("%s needs %s >= %d" % (name, key, least))
+
+
 def preset(name: str, **params) -> Algebra:
     """Canonical example algebras.
 
@@ -119,18 +150,17 @@ def preset(name: str, **params) -> Algebra:
     upper_triangular(k): upper-triangular k x k matrices.
     direct_sum(a, b): product algebra on the concatenated bases.
     field(): the 1-dimensional unital algebra.
+
+    Raises ValueError naming the parameter that is unknown, missing, of
+    the wrong type or out of range.
     """
+    _check_preset_params(name, params)
     if name == "field":
         return Algebra(1, ["1"], {(0, 0): {0: ONE}})
     if name == "zero_mult":
-        d = int(params["d"])
-        if d < 0:
-            raise ValueError("zero_mult needs d >= 0")
-        return Algebra(d, None, {})
+        return Algebra(params["d"], None, {})
     if name == "truncated_poly":
-        m = int(params["m"])
-        if m <= 0:
-            raise ValueError("truncated_poly needs m >= 1")
+        m = params["m"]
         names = ["1"] + ["x^%d" % p if p > 1 else "x" for p in range(1, m)]
         mult = {}
         for i in range(m):
@@ -138,24 +168,9 @@ def preset(name: str, **params) -> Algebra:
                 if i + j < m:
                     mult[(i, j)] = {i + j: ONE}
         return Algebra(m, names, mult)
-    if name == "matrix":
-        k = int(params["k"])
-        if k <= 0:
-            raise ValueError("matrix needs k >= 1")
-        pairs = [(p, q) for p in range(k) for q in range(k)]
-        idx = {pq: n for n, pq in enumerate(pairs)}
-        names = ["e%d%d" % (p + 1, q + 1) for p, q in pairs]
-        mult = {}
-        for a, (p, q) in enumerate(pairs):
-            for b, (r, s) in enumerate(pairs):
-                if q == r:
-                    mult[(a, b)] = {idx[(p, s)]: ONE}
-        return Algebra(k * k, names, mult)
-    if name == "upper_triangular":
-        k = int(params["k"])
-        if k <= 0:
-            raise ValueError("upper_triangular needs k >= 1")
-        pairs = [(p, q) for p in range(k) for q in range(p, k)]
+    if name in ("matrix", "upper_triangular"):
+        k, upper = params["k"], name == "upper_triangular"
+        pairs = [(p, q) for p in range(k) for q in range(p if upper else 0, k)]
         idx = {pq: n for n, pq in enumerate(pairs)}
         names = ["e%d%d" % (p + 1, q + 1) for p, q in pairs]
         mult = {}
@@ -164,18 +179,15 @@ def preset(name: str, **params) -> Algebra:
                 if q == r:
                     mult[(a, b)] = {idx[(p, s)]: ONE}
         return Algebra(len(pairs), names, mult)
-    if name == "direct_sum":
-        a: Algebra = params["a"]
-        b: Algebra = params["b"]
-        names = ["L." + n for n in a.basis_names] + ["R." + n for n in b.basis_names]
-        mult = {}
-        for (i, j), comp in a.mult.items():
-            mult[(i, j)] = dict(comp)
-        off = a.dim
-        for (i, j), comp in b.mult.items():
-            mult[(i + off, j + off)] = {k + off: v for k, v in comp.items()}
-        return Algebra(a.dim + b.dim, names, mult)
-    raise ValueError("unknown preset %r" % name)
+    a, b = params["a"], params["b"]             # direct_sum
+    names = ["L." + n for n in a.basis_names] + ["R." + n for n in b.basis_names]
+    mult = {}
+    for (i, j), comp in a.mult.items():
+        mult[(i, j)] = dict(comp)
+    off = a.dim
+    for (i, j), comp in b.mult.items():
+        mult[(i + off, j + off)] = {k + off: v for k, v in comp.items()}
+    return Algebra(a.dim + b.dim, names, mult)
 
 
 # -- homomorphisms and extensions ------------------------------------

@@ -218,13 +218,10 @@ def induced_map_on_homology(psi: ChainMap, n: int) -> Matrix:
     return coords
 
 
-def check_quasi_isomorphism(psi: ChainMap, n_report: int):
-    """Per-degree verdict: H_n(psi) invertible (square and full rank)."""
-    verdicts = []
-    for n in range(n_report + 1):
-        m = induced_map_on_homology(psi, n)
-        verdicts.append(m.rows == m.cols and rank(m) == m.rows)
-    return verdicts
+def check_quasi_isomorphism(induced_maps):
+    """Per-degree verdict on the matrices H_n(psi) of a chain map psi:
+    each invertible (square and full rank)."""
+    return [m.rows == m.cols and rank(m) == m.rows for m in induced_maps]
 
 
 # -- short exact sequences of complexes ------------------------------

@@ -14,10 +14,12 @@ Each theory has one complex of A in its adapted basis, C(A) for
 simplicial, bar C(A) for bar, and reads Ker, C(B), C(D) and their maps
 off it.  The cyclic theory does not build: its CC(A) is Connes' complex
 relabelled from the simplicial C(A) (hochschild.connes_complex), which
-excision_report and amenable_scenario_check take from their simplicial
-theory.  The report reads its bar data off the bar theory.
-check_hlgy_cohlgy_equivalence is a view of a report and builds nothing;
-check_bar_invariance and amenable_scenario_check are standalone checks.
+excision_report takes from its simplicial theory.  Each theory induces
+its homology maps once: the candidate sequences reuse the snake
+sequences' maps and connecting maps, with H(B) reached through the
+comparison map, whose induced maps also give the quasi-isomorphism
+verdicts.  check_hlgy_cohlgy_equivalence, check_bar_invariance and
+amenable_scenario_check are views of a report and build nothing.
 
 A finite-dimensional surrogate note is attached to every report: the
 "bounded approximate identity" hypothesis is modeled as an exact
@@ -33,14 +35,12 @@ from dataclasses import dataclass
 from .algebra import Extension, unit_witness, validate_extension
 from .complexes import (
     ChainComplex, ChainMap, LongSequence, ShortExactSequenceOfComplexes,
-    assemble_sequence, cohomology_dims, connecting_homomorphism, dualize,
-    dualize_map, homology_at, homology_dims, induced_map_on_homology,
-    long_exact_sequence, check_quasi_isomorphism,
+    assemble_sequence, check_quasi_isomorphism, cohomology_dims, dualize,
+    dualize_map, homology_dims, induced_map_on_homology, long_exact_sequence,
 )
 from .hochschild import (
     adapted_extension, bar_complex, connes_complex,
     cyclic_kernel_subcomplex, hochschild_complex, kernel_subcomplex,
-    trace_space,
 )
 from .linalg import Matrix, format_q, rank, solve_many
 
@@ -77,7 +77,6 @@ class TheoryData:
     sub: ChainComplex          # kernel subcomplex inside CA
     incl: ChainMap             # sub -> CA
     comp: ChainMap             # CB -> sub (the comparison map)
-    map_ba: ChainMap           # CB -> CA
     map_ad: ChainMap           # CA -> CD (degreewise surjective)
 
     @property
@@ -125,27 +124,25 @@ def _factor_through(through: Matrix, target_map: Matrix):
     return X, ("factored" if X is not None else "unfactorable")
 
 
-def candidate_homology_sequence(td: TheoryData, n_report: int) -> tuple:
+def candidate_homology_sequence(snake: LongSequence, h_comp) -> tuple:
     """Candidate excision sequence
-    ... -> H_n(B) -> H_n(A) -> H_n(D) -> H_{n-1}(B) -> ... -> H_0(D) -> 0
-    with the connecting map routed through the comparison map.
+    ... -> H_n(B) -> H_n(A) -> H_n(D) -> H_{n-1}(B) -> ... -> H_0(D) -> 0:
+    the snake sequence of Ker -> C(A) -> C(D) over degrees 0..n_report
+    with H(Ker) replaced by H(B) through h_comp[n], the matrix of
+    H_n(comp).  H_n(B -> A) is H_n(incl) @ H_n(comp), and the connecting
+    map is the snake's routed through H_{n-1}(comp).
 
     Returns (LongSequence, conventions) where conventions records, per
     degree, how the candidate connecting map was obtained."""
-    entries = []
-    maps = []
-    conventions = {}
-    for n in range(n_report, -1, -1):
-        entries.append(("B", n, homology_at(td.CB, n).dim))
-        maps.append(induced_map_on_homology(td.map_ba, n))
-        entries.append(("A", n, homology_at(td.CA, n).dim))
-        maps.append(induced_map_on_homology(td.map_ad, n))
-        entries.append(("D", n, homology_at(td.CD, n).dim))
-        if n > 0:
-            zeta = connecting_homomorphism(td.ses, n)
-            through = induced_map_on_homology(td.comp, n - 1)
-            X, convention = _factor_through(through, zeta)
-            conventions[n] = convention
+    n_report = len(h_comp) - 1
+    entries, maps, conventions = [], [], {}
+    for k, n in enumerate(range(n_report, -1, -1)):
+        incl, ad, *zeta = snake.maps[3 * k:3 * k + 3]
+        a, d = snake.nodes[3 * k + 1:3 * k + 3]
+        entries += [("B", n, h_comp[n].cols), ("A", n, a.dim), ("D", n, d.dim)]
+        maps += [incl @ h_comp[n], ad]
+        if zeta:
+            X, conventions[n] = _factor_through(h_comp[n - 1], zeta[0])
             maps.append(X)
     seq = assemble_sequence(entries, maps, genuine_top=False,
                             genuine_bottom=True,
@@ -153,30 +150,23 @@ def candidate_homology_sequence(td: TheoryData, n_report: int) -> tuple:
     return seq, conventions
 
 
-def candidate_cohomology_sequence(td: TheoryData, n_report: int) -> tuple:
+def candidate_cohomology_sequence(snake: LongSequence, h_dual_comp) -> tuple:
     """Candidate excision sequence
     0 -> H^0(D) -> H^0(A) -> H^0(B) -> H^1(D) -> ...
-    on the dualized complexes."""
-    dses = td.dual_ses()
-    dual_ad = dses.inj           # dual(CD) -> dual(CA)
-    dual_ba = dualize_map(td.map_ba)
-    dual_comp = dualize_map(td.comp)   # dual(sub) -> dual(CB)
-    N = td.CA.top_degree
-    entries = []
-    maps = []
-    conventions = {}
-    for n in range(0, n_report + 1):
-        entries.append(("D", n, homology_at(dses.K, N - n).dim))
-        maps.append(induced_map_on_homology(dual_ad, N - n))
-        entries.append(("A", n, homology_at(dses.P, N - n).dim))
-        maps.append(induced_map_on_homology(dual_ba, N - n))
-        entries.append(("B", n, homology_at(dual_ba.target, N - n).dim))
-        if n < n_report:
-            xi = connecting_homomorphism(dses, N - n)
-            through = induced_map_on_homology(dual_comp, N - n)
+    on the dualized complexes: the dual snake sequence D* -> A* -> Ker*
+    from cohomological degree 0 up to n_report, with H(Ker*) replaced by
+    H(B*) through h_dual_comp[n], the matrix of H^n(dual comp)."""
+    n_report = len(h_dual_comp) - 1
+    entries, maps, conventions = [], [], {}
+    for n, through in enumerate(h_dual_comp):
+        ad, incl, *xi = snake.maps[3 * n:3 * n + 3]
+        d, a = snake.nodes[3 * n:3 * n + 2]
+        entries += [("D", n, d.dim), ("A", n, a.dim), ("B", n, through.rows)]
+        maps += [ad, through @ incl]
+        if xi:
             # want X with X o through = xi; transpose to reuse the solver
-            Xt, convention = _factor_through(through.transpose(), xi.transpose())
-            conventions[n] = convention
+            Xt, conventions[n] = _factor_through(through.transpose(),
+                                                 xi[0].transpose())
             maps.append(Xt.transpose() if Xt is not None else None)
     seq = assemble_sequence(entries, maps, genuine_top=True,
                             genuine_bottom=False,
@@ -204,7 +194,10 @@ def _sequence_record(name: str, seq: LongSequence, conventions=None) -> dict:
     return rec
 
 
-def _snake_records(td: TheoryData, n_report: int) -> list:
+def _theory_records(td: TheoryData, n_report: int) -> tuple:
+    """The snake sequences of Ker -> C(A) -> C(D) and of its dual, the
+    two candidate sequences read off them, and the comparison verdicts.
+    H(comp) and H(dual comp) are induced once per degree 0..n_report."""
     N = td.CA.top_degree
     hom = long_exact_sequence(td.ses, 0, n_report, labels=("Ker", "A", "D"))
     coh = long_exact_sequence(td.dual_ses(), N - n_report, N,
@@ -212,10 +205,22 @@ def _snake_records(td: TheoryData, n_report: int) -> list:
     # report cohomological degrees, not internal reversed ones
     for nd in coh.nodes:
         nd.degree = N - nd.degree
-    return [
+    dual_comp = dualize_map(td.comp)
+    h_comp = [induced_map_on_homology(td.comp, n)
+              for n in range(n_report + 1)]
+    h_dual_comp = [induced_map_on_homology(dual_comp, N - n)
+                   for n in range(n_report + 1)]
+    candidates = [
+        _sequence_record("%s homology" % td.name,
+                         *candidate_homology_sequence(hom, h_comp)),
+        _sequence_record("%s cohomology" % td.name,
+                         *candidate_cohomology_sequence(coh, h_dual_comp)),
+    ]
+    snakes = [
         _sequence_record("%s homology (kernel subcomplex)" % td.name, hom),
         _sequence_record("%s cohomology (kernel subcomplex)" % td.name, coh),
     ]
+    return candidates, snakes, check_quasi_isomorphism(h_comp)
 
 
 def _betti_duality_ok(td: TheoryData, n_report: int) -> bool:
@@ -246,13 +251,10 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
               else build_theory(adapted, n_report, theory, force))
         if theory == "simplicial":
             C_A = td.CA
-        hom, hconv = candidate_homology_sequence(td, n_report)
-        coh, cconv = candidate_cohomology_sequence(td, n_report)
-        sequences.append(_sequence_record("%s homology" % theory, hom, hconv))
-        sequences.append(_sequence_record("%s cohomology" % theory, coh, cconv))
-        snake_sequences.extend(_snake_records(td, n_report))
-        comparison["%s_quasi_iso" % theory] = check_quasi_isomorphism(
-            td.comp, n_report)
+        candidates, snakes, quasi_iso = _theory_records(td, n_report)
+        sequences.extend(candidates)
+        snake_sequences.extend(snakes)
+        comparison["%s_quasi_iso" % theory] = quasi_iso
         betti_ok = betti_ok and _betti_duality_ok(td, n_report)
         if theory == "bar":
             # the vanishing of the bar homology of B is H-unitality
@@ -330,88 +332,76 @@ def check_hlgy_cohlgy_equivalence(report: dict) -> dict:
             "verdict": verdict}
 
 
-def check_bar_invariance(ext: Extension, n_report: int = 3,
-                         force: bool = False) -> dict:
-    """dim HR_n(A) = dim HR_n(D) under the hypothesis; reported
-    informationally when the hypothesis is unmet."""
-    _require_valid(ext)
-    td = build_theory(adapted_extension(ext), n_report, "bar", force)
-    hr_a, dual_a = (homology_dims(td.CA, n_report),
-                    cohomology_dims(td.CA, n_report))
-    hr_d, dual_d = (homology_dims(td.CD, n_report),
-                    cohomology_dims(td.CD, n_report))
-    unit = unit_witness(ext.B)
-    out = {
-        "in_hypothesis": unit.found,
-        "HR_A": hr_a, "HR_D": hr_d,
+def _record(report: dict, name: str) -> dict:
+    """The report's candidate sequence name ('simplicial homology', ...)."""
+    return next(r for r in report["sequences"] if r["name"] == name)
+
+
+def _node_dims(record: dict, group: str) -> list:
+    """dims of a sequence record's group nodes by degree 0..n_report."""
+    return [nd["dim"] for nd in sorted(record["nodes"], key=lambda nd: nd["degree"])
+            if nd["group"] == group]
+
+
+def check_bar_invariance(report: dict) -> dict:
+    """dim HR_n(A) = dim HR_n(D), and likewise in cohomology, under the
+    hypothesis; reported informationally when the hypothesis is unmet.
+    A view of an excision_report result: it computes nothing."""
+    bar = report["bar_invariance"]
+    coh = _record(report, "bar cohomology")
+    dual_a, dual_d = _node_dims(coh, "A"), _node_dims(coh, "D")
+    equal = bar["equal"] and dual_a == dual_d
+    return {
+        "in_hypothesis": bar["in_hypothesis"],
+        "HR_A": bar["HR_A"], "HR_D": bar["HR_D"],
         "HR_dual_A": dual_a, "HR_dual_D": dual_d,
-        "equal": hr_a == hr_d and dual_a == dual_d,
+        "equal": equal,
+        "pass": equal if bar["in_hypothesis"] else None,
     }
-    unit_a = unit_witness(ext.A)
-    if unit_a.found:
-        out["A_unital_vanishing"] = all(d == 0 for d in hr_a + dual_a)
-    out["pass"] = out["equal"] if unit.found else None
-    return out
 
 
-def amenable_scenario_check(ext: Extension, n_report: int = 3,
-                            force: bool = False) -> dict:
+def amenable_scenario_check(report: dict) -> dict:
     """Consequences of an 'amenable' ideal in the finite-dimensional
     surrogate sense (B has a two-sided unit and H_n(B) = 0 for n >= 1):
     dim H^n(A) = dim H^n(D) for n >= 2, the five-term trace sequence
     0 -> D^tr -> A^tr -> B^tr -> H^1(D) -> H^1(A) -> 0 is exact, and
-    the cyclic six-term pattern holds."""
-    _require_valid(ext)
-    adapted = adapted_extension(ext)
-    td = build_theory(adapted, n_report, "simplicial", force)
-    unit = unit_witness(ext.B)
-    hb = homology_dims(td.CB, n_report)
-    if ext.B.dim > 0 and (unit.side != "two-sided"
-                          or any(d != 0 for d in hb[1:])):
+    the cyclic six-term pattern holds.  A view of an excision_report
+    result: the trace space of an algebra is its H^0, and everything
+    else is read off the candidate sequences."""
+    n_report = report["extension"]["n_report"]
+    side = report["hypothesis"]["unit"]["side"]
+    hb = _node_dims(_record(report, "simplicial homology"), "B")
+    if report["extension"]["dims"]["B"] > 0 and (
+            side != "two-sided" or any(d != 0 for d in hb[1:])):
         raise SurrogateNotMet(
             "ideal is not amenable in the surrogate sense "
             "(two-sided unit + vanishing higher homology); unit=%s, H=%r"
-            % (unit.side, hb))
+            % (side, hb))
 
-    seq, _ = candidate_cohomology_sequence(td, n_report)
-    coh_a = cohomology_dims(td.CA, n_report)
-    coh_d = cohomology_dims(td.CD, n_report)
-    coh_b = cohomology_dims(td.CB, n_report)
+    seq = _record(report, "simplicial cohomology")
+    coh_a, coh_d, coh_b = (_node_dims(seq, group) for group in "ADB")
     high_equal = all(coh_a[n] == coh_d[n] for n in range(2, n_report + 1))
 
-    tr_b = trace_space(ext.B).dim
-    tr_a = trace_space(ext.A).dim
-    tr_d = trace_space(ext.D).dim
     # the five-term sequence is the head of the cohomology candidate,
-    # truncated by H^1(B) = 0
-    five_nodes = [nd for nd in seq.nodes if nd.degree <= 1]
-    five_exact = (coh_b[1] == 0 if n_report >= 1 else True)
-    for nd in five_nodes:
-        if nd.degree == 1 and nd.label == "B":
-            continue
-        if nd.defect is None:
-            if not (nd.degree == 1 and nd.label == "A"):
-                five_exact = False
-            continue
-        if nd.defect != 0 or not nd.composition_zero:
-            five_exact = False
+    # truncated by H^1(B) = 0; its node (A, 1) has no outgoing map
+    five_exact = (n_report < 1 or coh_b[1] == 0) and all(
+        nd["defect"] == 0 and nd["composition_zero"]
+        or nd["defect"] is None and (nd["degree"], nd["group"]) == (1, "A")
+        for nd in seq["nodes"]
+        if nd["degree"] <= 1 and (nd["degree"], nd["group"]) != (1, "B"))
     # surjectivity onto H^1(A): the defect at node (A, 1) covers it when
     # H^1(B) = 0 (its outgoing map then has full kernel)
-    trace_dims = {"D_tr": tr_d, "A_tr": tr_a, "B_tr": tr_b,
+    trace_dims = {"D_tr": coh_d[0], "A_tr": coh_a[0], "B_tr": coh_b[0],
                   "H1_D": coh_d[1] if n_report >= 1 else None,
                   "H1_A": coh_a[1] if n_report >= 1 else None}
 
     # cyclic pattern: HC^even(B) has the trace dimension, HC^odd(B) = 0,
     # and the cyclic cohomology candidate is exact in the window
-    tdc = cyclic_theory(adapted, td.CA)
-    cseq, _ = candidate_cohomology_sequence(tdc, n_report)
-    hc_b = cohomology_dims(tdc.CB, n_report)
-    pattern_ok = all(
-        (hc_b[n] == tr_b if n % 2 == 0 else hc_b[n] == 0)
-        for n in range(n_report + 1))
-    cyc_rec = _sequence_record("cyclic cohomology", cseq)
+    cyclic = _record(report, "cyclic cohomology")
+    hc_b = _node_dims(cyclic, "B")
+    pattern_ok = all(d == (0 if n % 2 else coh_b[0]) for n, d in enumerate(hc_b))
 
-    ok = high_equal and five_exact and pattern_ok and cyc_rec["exact"]
+    ok = high_equal and five_exact and pattern_ok and cyclic["exact"]
     return {
         "surrogate": "two-sided unit + vanishing higher simplicial homology",
         "H_dual_A": coh_a, "H_dual_D": coh_d, "H_dual_B": coh_b,
@@ -419,6 +409,6 @@ def amenable_scenario_check(ext: Extension, n_report: int = 3,
         "trace_dims": trace_dims,
         "five_term_exact": five_exact,
         "cyclic_B_pattern_ok": pattern_ok,
-        "cyclic_candidate_exact": cyc_rec["exact"],
+        "cyclic_candidate_exact": cyclic["exact"],
         "pass": ok,
     }

@@ -52,7 +52,7 @@ def algebra_from_obj(obj) -> Algebra:
         if field not in obj:
             raise ParseError("algebra object missing field %r" % field)
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise ParseError("dim must be a nonnegative integer, got %r" % (dim,))
     basis = obj.get("basis")
     if basis is not None:

@@ -308,14 +308,14 @@ def _coordinate_map(source, target, positions, project=False) -> ChainMap:
         for n, pos in enumerate(positions)])
 
 
-ExtensionPieces = namedtuple(
-    "ExtensionPieces", "CB CD sub incl comp map_ba map_ad")
+ExtensionPieces = namedtuple("ExtensionPieces", "CB CD sub incl comp map_ad")
 
 
 def _read_off(C_A: ChainComplex, counts) -> ExtensionPieces:
     """Split C_A by counts[n][k], the number of B slots of the tensor
     behind coordinate k in degree n: Ker has some, C(B) only B slots,
-    and the quotient C(D) none.
+    and the quotient C(D) none.  C(B) maps to C_A through Ker, as
+    incl o comp.
 
     Ker -> C_A -> C(D) (incl, map_ad) is a valid short exact sequence
     by construction once Ker passes the closure check: the index lists
@@ -333,7 +333,6 @@ def _read_off(C_A: ChainComplex, counts) -> ExtensionPieces:
         CB, CD, sub, _coordinate_map(sub, C_A, ker),
         _coordinate_map(CB, sub, [[at[t] for t in ob]
                                   for at, ob in zip(in_ker, only_b)]),
-        _coordinate_map(CB, C_A, only_b),
         _coordinate_map(C_A, CD, no_b, project=True))
 
 
@@ -352,8 +351,8 @@ def _b_slot_counts(ext: Extension, top: int):
 
 def kernel_subcomplex(ext: Extension, C_A: ChainComplex) -> ExtensionPieces:
     """C(B), the quotient C(D), the subcomplex Ker(j (x) ... (x) j) and
-    the maps incl, comp, map_ba and map_ad, read off C_A, the simplicial
-    or bar complex of the A of an adapted extension, by index."""
+    the maps incl, comp and map_ad, read off C_A, the simplicial or bar
+    complex of the A of an adapted extension, by index."""
     return _read_off(C_A, _b_slot_counts(ext, C_A.top_degree))
 
 

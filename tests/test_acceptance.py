@@ -149,8 +149,7 @@ def test_criterion_8_kernel_span_verification():
 
 def test_criterion_9_amenable_pattern():
     t0 = time.time()
-    ext = build("matrix_block")
-    out = amenable_scenario_check(ext, 3)
+    out = amenable_scenario_check(excision_report(build("matrix_block"), 3))
     elapsed = time.time() - t0
     dims = (out["trace_dims"]["D_tr"], out["trace_dims"]["A_tr"],
             out["trace_dims"]["B_tr"], out["trace_dims"]["H1_D"],

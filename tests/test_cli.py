@@ -183,7 +183,7 @@ def test_bar_invariance_rejects_non_associative_extension(
         non_associative_ext_file):
     _, ext = load_document(non_associative_ext_file)
     with pytest.raises(ValueError, match="A associative"):
-        check_bar_invariance(ext, 1)
+        check_bar_invariance(excision_report(ext, 1))
 
 
 @pytest.mark.parametrize("command", ["validate", "excision"])
@@ -225,3 +225,38 @@ def test_internal_invariant_failure_exits_one(capsys, monkeypatch, e1_file):
     assert err.strip().splitlines() == [
         "internal invariant failed in layer complexes: LiftFailure: "
         "cycle of L in degree 2 has no preimage"]
+
+
+# (descriptor, the parameter its error must name)
+BAD_PRESETS = [
+    pytest.param({"preset": "matrix"}, "k", id="missing-k"),
+    pytest.param({"preset": "direct_sum", "a": {"preset": "field"}}, "b",
+                 id="missing-b"),
+    pytest.param({"preset": "direct_sum", "a": 3, "b": {"preset": "field"}},
+                 "a", id="a-not-an-algebra"),
+    pytest.param({"preset": "matrix", "k": 2.7}, "k", id="k-not-an-integer"),
+    pytest.param({"preset": "zero_mult", "d": 1, "q": 1}, "q", id="unknown-q"),
+    pytest.param({"dim": True, "mult": []}, "dim", id="dim-boolean"),
+]
+
+
+@pytest.mark.parametrize("command", ["homology", "excision"])
+@pytest.mark.parametrize("bad, param", BAD_PRESETS)
+def test_bad_preset_descriptor_is_parse_error(capsys, tmp_path, command,
+                                              bad, param):
+    """A bad algebra descriptor, alone or as the B of an extension,
+    exits 2 with one line naming the parameter, never a traceback."""
+    doc = bad
+    if command == "excision":
+        doc = {"B": bad, "A": {"preset": "field"}, "D": {"preset": "field"},
+               "i": [["1"]], "j": [["1"]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+    assert len(err.strip().splitlines()) == 1
+    # the reason follows the echoed descriptor
+    reason = err.rsplit("}: ", 1)[-1]
+    assert ("'%s'" % param if bad.get("preset") else param) in reason

@@ -11,9 +11,13 @@ import json
 
 import pytest
 
-from alghom import excision, hochschild
-from alghom.algebra import validate_extension
-from alghom.complexes import check_ses
+from alghom import complexes, excision, hochschild, linalg
+from alghom.algebra import (
+    preset, quotient_extension, unit_witness, validate_extension,
+)
+from alghom.complexes import (
+    ChainMap, check_chain_map, check_ses, dualize_map, induced_map_on_homology,
+)
 from alghom.corpus import CORPUS, FAILURE_CORPUS, UNITAL_CORPUS, build
 from alghom.excision import (
     THEORIES, SurrogateNotMet, amenable_scenario_check, build_theory,
@@ -115,19 +119,81 @@ def test_homology_cohomology_equivalence(name):
 
 
 def test_bar_invariance_out_of_hypothesis_informational():
-    out = check_bar_invariance(build("nilpotent_corner"), 3)
+    out = check_bar_invariance(report("nilpotent_corner"))
     assert out["in_hypothesis"] is False
     assert out["pass"] is None
 
 
 def test_bar_invariance_unital_ambient():
-    out = check_bar_invariance(build("split_product"), 3)
+    out = check_bar_invariance(report("split_product"))
     assert out["pass"] is True
-    assert out["A_unital_vanishing"] is True
+    assert list(out) == ["in_hypothesis", "HR_A", "HR_D", "HR_dual_A",
+                         "HR_dual_D", "equal", "pass"]
+
+
+UNITAL_AMBIENT = sorted(name for name in CORPUS
+                        if unit_witness(build(name).A).found)
+
+
+@pytest.mark.parametrize("name", UNITAL_AMBIENT)
+def test_bar_homology_of_unital_ambient_vanishes(name):
+    """A unital algebra has acyclic bar complex, so HR(A) = 0 in
+    homology and in cohomology."""
+    r = report(name)
+    assert r["bar_invariance"]["HR_A"] == [0, 0, 0, 0]
+    assert _group_dims(r, "bar cohomology", "A") == [0, 0, 0, 0]
+
+
+def _group_dims(r, name, group):
+    """dims of a group's nodes in the report's candidate sequence name,
+    by ascending degree."""
+    rec = next(s for s in r["sequences"] if s["name"] == name)
+    return [nd["dim"] for nd in sorted(rec["nodes"], key=lambda nd: nd["degree"])
+            if nd["group"] == group]
+
+
+@pytest.mark.parametrize("ideal", [[0, 1, 2, 3], [4]], ids=["M2", "Q"])
+def test_cstar_direct_sum_oracle(ideal):
+    """A = M_2(Q) x Q, the rational analogue of a finite-dimensional
+    C*-algebra with r = 2 simple summands.  Either summand is an ideal
+    with a unit, so excision holds and B is H-unital; and A has the
+    closed forms HH = [r, 0, 0], HC = [r, 0, r] and HR = 0 in homology
+    and in cohomology."""
+    A = preset("direct_sum", a=preset("matrix", k=2), b=preset("field"))
+    basis = Matrix(A.dim, len(ideal), {(i, c): 1 for c, i in enumerate(ideal)})
+    r = excision_report(quotient_extension(A, basis), 2)
+    assert r["verdict"] == "excision-exact"
+    assert r["hypothesis"]["bar_homology_B"] == [0, 0, 0]
+    closed = {"simplicial": [2, 0, 0], "cyclic": [2, 0, 2], "bar": [0, 0, 0]}
+    for theory in THEORIES:
+        for side in ("homology", "cohomology"):
+            name = "%s %s" % (theory, side)
+            assert _group_dims(r, name, "A") == closed[theory], name
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_derived_maps_match_composed_chain_map(name, theory):
+    """The candidate sequences take H(C(B) -> C(A)) as H(incl) @ H(comp)
+    and its dual as H(dual comp) @ H(dual incl).  Both equal the maps
+    induced by the coordinate chain map incl o comp, composed here."""
+    td = build_theory(adapted_extension(build(name)), 1, theory)
+    ba = ChainMap(td.CB, td.CA, [i @ c for i, c in zip(td.incl.components,
+                                                       td.comp.components)])
+    assert check_chain_map(ba) is None
+    dual_ba, dual_incl, dual_comp = (dualize_map(psi)
+                                     for psi in (ba, td.incl, td.comp))
+    for n in range(td.CA.top_degree + 1):
+        assert (induced_map_on_homology(ba, n)
+                == induced_map_on_homology(td.incl, n)
+                @ induced_map_on_homology(td.comp, n))
+        assert (induced_map_on_homology(dual_ba, n)
+                == induced_map_on_homology(dual_comp, n)
+                @ induced_map_on_homology(dual_incl, n))
 
 
 def test_amenable_scenario_matrix_block():
-    out = amenable_scenario_check(build("matrix_block"), 3)
+    out = amenable_scenario_check(report("matrix_block"))
     assert out["pass"] is True
     assert out["trace_dims"] == {"D_tr": 1, "A_tr": 2, "B_tr": 1,
                                  "H1_D": 0, "H1_A": 0}
@@ -137,13 +203,13 @@ def test_amenable_scenario_matrix_block():
 
 
 def test_amenable_scenario_commutative():
-    out = amenable_scenario_check(build("two_of_three"), 3)
+    out = amenable_scenario_check(report("two_of_three"))
     assert out["pass"] is True
 
 
 def test_amenable_scenario_rejects_nilpotent_ideal():
     with pytest.raises(SurrogateNotMet):
-        amenable_scenario_check(build("nilpotent_corner"), 3)
+        amenable_scenario_check(report("nilpotent_corner"))
 
 
 def test_report_json_compatible_and_deterministic():
@@ -228,14 +294,6 @@ def test_report_builds_each_bar_complex_once(monkeypatch):
     assert r["hypothesis"]["bar_homology_B"] == [1, 1, 1]
 
 
-def test_bar_invariance_builds_each_bar_complex_once(monkeypatch):
-    calls = _count_builds(monkeypatch)
-    ext = build("split_product")
-    out = check_bar_invariance(ext, 2)
-    assert _mults(calls) == _mults([adapted_extension(ext).A])
-    assert out["HR_A"] == out["HR_dual_A"] == [0, 0, 0]
-
-
 def _count_hochschild_builds(monkeypatch):
     """Record the algebra of every hochschild_complex call, made by
     excision directly or through hochschild (as cyclic_complex does)."""
@@ -251,8 +309,8 @@ def _count_hochschild_builds(monkeypatch):
     return calls
 
 
-def _builds_one_cyclic_complex(check, name, monkeypatch):
-    """One simplicial C(A) per run, and Connes' complex is relabelled
+def test_report_builds_one_cyclic_complex(monkeypatch):
+    """One simplicial C(A) per report, and Connes' complex is relabelled
     from it once."""
     builds = _count_hochschild_builds(monkeypatch)
     relabelled = []
@@ -263,19 +321,53 @@ def _builds_one_cyclic_complex(check, name, monkeypatch):
         return real(C)
 
     monkeypatch.setattr(excision, "connes_complex", counted)
-    ext = build(name)
-    check(ext, 1)
+    ext = build("nilpotent_corner")
+    excision_report(ext, 1)
     assert _mults(builds) == _mults([adapted_extension(ext).A])
     assert len(relabelled) == 1 and relabelled[0].dims[0] == ext.A.dim
 
 
-def test_report_builds_one_cyclic_complex(monkeypatch):
-    _builds_one_cyclic_complex(excision_report, "nilpotent_corner", monkeypatch)
+def _count_calls(monkeypatch, name):
+    """Count the calls of a complexes function made from excision or
+    from inside complexes (as long_exact_sequence does)."""
+    calls = []
+    real = getattr(complexes, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (excision, complexes):
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
 
 
-def test_amenable_check_builds_one_cyclic_complex(monkeypatch):
-    _builds_one_cyclic_complex(amenable_scenario_check, "two_of_three",
-                               monkeypatch)
+def test_report_induces_each_map_once(monkeypatch):
+    """Per theory at degree 2: H(incl) and H(map_ad) at 3 degrees in the
+    snake sequence and in its dual, H(comp) and H(dual comp) at 3 degrees
+    each; 2 connecting maps in each snake sequence."""
+    induced = _count_calls(monkeypatch, "induced_map_on_homology")
+    connecting = _count_calls(monkeypatch, "connecting_homomorphism")
+    excision_report(build("nilpotent_corner"), 2)
+    assert (len(induced), len(connecting)) == (54, 12)
+
+
+@pytest.mark.parametrize("view, verdict", [
+    (check_hlgy_cohlgy_equivalence, "equivalent"),
+    (check_bar_invariance, "pass"),
+    (amenable_scenario_check, "pass")])
+def test_views_build_nothing(view, verdict, monkeypatch):
+    r = report("two_of_three")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a view built or eliminated")
+
+    for module in (excision, hochschild):
+        for name in ("hochschild_complex", "bar_complex", "connes_complex"):
+            monkeypatch.setattr(module, name, forbidden)
+    for module in (linalg, complexes):
+        monkeypatch.setattr(module, "_echelon", forbidden)
+    assert view(r)[verdict] is True
 
 
 def _without_unit_element(report):

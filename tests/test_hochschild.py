@@ -236,7 +236,7 @@ def test_read_off_pieces_match_elimination_oracles(name, theory):
             rank(cyclic_quotient(ext.A, n).projection @ ker.basis)
             if theory == "cyclic" else ker.dim)
     assert pieces.sub.dims == kernel_dims
-    for psi in (pieces.incl, pieces.comp, pieces.map_ba, pieces.map_ad):
+    for psi in (pieces.incl, pieces.comp, pieces.map_ad):
         assert check_chain_map(psi) is None
 
 
