@@ -10,9 +10,9 @@ Commands:
 Exit codes: 0 ok; 1 invalid input (a non-associative algebra, an
 invalid extension) or a failed internal invariant (LiftFailure,
 ClosureViolation, WellDefinednessViolation, InducedMapNotWellDefined,
-SurrogateNotMet, CompositionNotZero), reported on one stderr line that
-names the layer; 2 parse or usage error (including a negative
---max-degree); 3 degree cap exceeded.  All rationals appear as "p/q"
+SurrogateNotMet, CompositionNotZero, NotAComplex), reported on one
+stderr line that names the layer; 2 parse or usage error (including a
+negative --max-degree); 3 degree cap exceeded.  All rationals appear as "p/q"
 strings; the text and JSON renderings come from the same report value.
 """
 
@@ -24,7 +24,8 @@ import sys
 
 from .algebra import validate_algebra, validate_extension
 from .complexes import (
-    LiftFailure, WellDefinednessViolation, cohomology_dims, homology_dims,
+    LiftFailure, NotAComplex, WellDefinednessViolation, cohomology_dims,
+    homology_dims,
 )
 from .excision import SurrogateNotMet, excision_report
 from .fileio import ParseError, load_document
@@ -43,6 +44,7 @@ EXIT_CAP = 3
 INVARIANT_FAILURES = (
     LiftFailure, ClosureViolation, WellDefinednessViolation,
     InducedMapNotWellDefined, SurrogateNotMet, CompositionNotZero,
+    NotAComplex,
 )
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄"
@@ -90,14 +92,21 @@ def _build_for_theory(alg, theory: str, n: int, force: bool):
     return cyclic_complex(alg, n, force)[0]
 
 
-def cmd_homology(args) -> int:
+def _load_associative(args, command: str):
+    """The algebra in args.file; ParseError for an extension file,
+    ValueError naming a triple for a non-associative algebra."""
     kind, alg = load_document(args.file)
     if kind != "algebra":
-        raise ParseError("%s: homology expects an algebra file" % args.file)
+        raise ParseError("%s: %s expects an algebra file" % (args.file, command))
     violations = validate_algebra(alg)
     if violations:
         raise ValueError("not an associative algebra: (ab)c != a(bc) for "
                          "the basis triple %r" % (violations[0]["triple"],))
+    return alg
+
+
+def cmd_homology(args) -> int:
+    alg = _load_associative(args, "homology")
     n = args.max_degree
     K = _build_for_theory(alg, args.theory, n, args.force)
     dims = cohomology_dims(K, n) if args.dual else homology_dims(K, n)
@@ -117,10 +126,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    kind, alg = load_document(args.file)
-    if kind != "algebra":
-        raise ParseError("%s: trace expects an algebra file" % args.file)
-    tr = trace_space(alg)
+    tr = trace_space(_load_associative(args, "trace"))
     basis = [[format_q(col.get(r, 0)) for r in range(tr.ambient_dim)]
              for col in tr.basis.column_dicts()]
     payload = {"dim": tr.dim, "basis": basis}

@@ -18,13 +18,18 @@ from dataclasses import dataclass
 
 from .linalg import (
     Matrix, Subspace, hstack,
-    _echelon, image_basis, kernel_basis, rank, solve_many,
+    _echelon, format_q, image_basis, kernel_basis, rank, solve_many,
 )
 
 
 class WellDefinednessViolation(Exception):
     """A chain map failed to send cycles to cycles or boundaries to
     boundaries; its ChainMap invariant is broken."""
+
+
+class NotAComplex(Exception):
+    """d_n o d_{n+1} != 0 in some degree n: a built complex fails its
+    check, or the boundaries its homology reads off are not cycles."""
 
 
 class LiftFailure(Exception):
@@ -69,6 +74,19 @@ def check_complex(K: ChainComplex):
             key = sorted(comp.entries)[0]
             return (n, {"entry": key, "value": comp.entries[key]})
     return None
+
+
+def require_complex(K: ChainComplex, what: str) -> ChainComplex:
+    """K, when check_complex finds no witness; otherwise NotAComplex
+    naming the degree and the witness entry."""
+    bad = check_complex(K)
+    if bad is not None:
+        n, witness = bad
+        raise NotAComplex("%s is not a complex at degree %d: d_%d d_%d has "
+                          "entry %s at %r" % (what, n, n, n + 1,
+                                              format_q(witness["value"]),
+                                              witness["entry"]))
+    return K
 
 
 @dataclass
@@ -121,7 +139,10 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
     got = DegreeHomology(dim=cycles.dim - boundaries.dim,
                          boundary_basis=boundaries, rep_basis=reps)
     if got.dim != reps.cols:
-        raise AssertionError("homology basis selection inconsistent")
+        raise NotAComplex(
+            "homology basis inconsistent at degree %d: %d cycles and %d "
+            "boundaries but %d representatives, so some boundary is not a "
+            "cycle" % (n, cycles.dim, boundaries.dim, reps.cols))
     K._homology[n] = got
     return got
 

@@ -10,12 +10,12 @@ homology, where excision is expected to break.
 from __future__ import annotations
 
 from .algebra import Algebra, Extension, preset, quotient_extension
-from .linalg import Matrix, ONE
+from .linalg import Matrix
 
 
 def _coordinate_ideal(A: Algebra, indices, names=None) -> Extension:
     basis = Matrix(A.dim, len(indices),
-                   {(i, c): ONE for c, i in enumerate(indices)})
+                   {(i, c): 1 for c, i in enumerate(indices)})
     if names is None:
         names = [A.basis_names[i] for i in indices]
     return quotient_extension(A, basis, names)

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from .algebra import (
     Algebra, AlgebraHom, Extension, find_splitting, validate_hom,
 )
-from .complexes import ChainComplex, ChainMap, check_complex
+from .complexes import ChainComplex, ChainMap, require_complex
 from .linalg import (
-    Matrix, ZERO, ONE, Subspace,
+    Matrix, Subspace,
     cokernel, hstack, kernel_basis, solve_many,
 )
 
@@ -76,17 +76,22 @@ def _chain_differential(A: Algebra, n: int, wrap: bool) -> Matrix:
     Face i <= n of the tensor at flat index col = (pre, a_i, a_{i+1},
     rest) puts the product a_i a_{i+1} between pre and rest; the
     wrap-around face puts a_{n+1} a_0 in front of rest = a_1 ... a_n.
-    Sums that cancel are dropped by the Matrix constructor."""
+    Sums that cancel are dropped by the Matrix constructor.  Integral
+    structure constants are read as ints, so integral data gives an
+    integral matrix."""
     d = A.dim
+    mult = {key: {k: int(c) if c.denominator == 1 else c
+                  for k, c in prod.items()}
+            for key, prod in A.mult.items()}
     # (left slot, right slot, sign, weight of the product's slot)
-    faces = [(i, i + 1, ONE if i % 2 == 0 else -ONE, d ** (n - i))
+    faces = [(i, i + 1, 1 if i % 2 == 0 else -1, d ** (n - i))
              for i in range(n + 1)]
     if wrap:
-        faces.append((n + 1, 0, ONE if n % 2 else -ONE, d ** n))
+        faces.append((n + 1, 0, 1 if n % 2 else -1, d ** n))
     ents = {}
     for col, factors in enumerate(itertools.product(range(d), repeat=n + 2)):
         for left, right, sign, scale in faces:
-            prod = A.mult.get((factors[left], factors[right]))
+            prod = mult.get((factors[left], factors[right]))
             if not prod:
                 continue
             if right:
@@ -95,7 +100,7 @@ def _chain_differential(A: Algebra, n: int, wrap: bool) -> Matrix:
                 base = col // d % scale
             for k, c in prod.items():
                 key = (base + k * scale, col)
-                ents[key] = ents.get(key, ZERO) + sign * c
+                ents[key] = ents.get(key, 0) + sign * c
     return Matrix(d ** (n + 1), d ** (n + 2), ents)
 
 
@@ -105,11 +110,8 @@ def _build_complex(A: Algebra, n_report: int, wrap: bool,
     n_internal = n_report + 2
     dims = [A.dim ** (n + 1) for n in range(n_internal + 1)]
     diffs = [_chain_differential(A, n, wrap) for n in range(n_internal)]
-    K = ChainComplex(dims, diffs)
-    bad = check_complex(K)
-    if bad is not None:
-        raise AssertionError("built complex is not a complex: %r" % (bad,))
-    return K
+    return require_complex(ChainComplex(dims, diffs),
+                           "simplicial complex" if wrap else "bar complex")
 
 
 def hochschild_complex(A: Algebra, n_report: int, force: bool = False) -> ChainComplex:
@@ -129,7 +131,7 @@ def cyclic_operator(A: Algebra, n: int) -> Matrix:
     """Signed cyclic permutation t_n on C_n(A); t_0 is the identity.
     The last factor of the tensor at col moves to the front."""
     d, size = A.dim, A.dim ** (n + 1)
-    sign = ONE if n % 2 == 0 else -ONE
+    sign = 1 if n % 2 == 0 else -1
     return Matrix(size, size, {((col % d) * d ** n + col // d, col): sign
                                for col in range(size)})
 
@@ -196,7 +198,7 @@ def _relabel(dn: Matrix, rows: Orbits, cols: Orbits, n: int) -> Matrix:
         k = rows.coord[r]
         if k >= 0:
             img = images[c]
-            img[k] = img.get(k, ZERO) + (v if rows.sign[r] > 0 else -v)
+            img[k] = img.get(k, 0) + (v if rows.sign[r] > 0 else -v)
     out = [None] * len(cols.reps)
     # descending, so each orbit's representative comes first
     for x in range(dn.cols - 1, -1, -1):
@@ -226,10 +228,7 @@ def connes_complex(C: ChainComplex):
     CC = ChainComplex([len(o.reps) for o in orbits],
                       [_relabel(dn, orbits[n], orbits[n + 1], n)
                        for n, dn in enumerate(C.diffs)])
-    bad = check_complex(CC)
-    if bad is not None:
-        raise AssertionError("cyclic quotient complex is not a complex: %r" % (bad,))
-    return CC, orbits
+    return require_complex(CC, "cyclic quotient complex"), orbits
 
 
 def cyclic_complex(A: Algebra, n_report: int, force: bool = False):
@@ -250,8 +249,8 @@ def trace_space(A: Algebra) -> Subspace:
 
 def _adapted_maps(a: int, b: int):
     """The matrices i = [I; 0] and j = [0 | I] for dim A = a, dim B = b."""
-    return (Matrix(a, b, {(k, k): ONE for k in range(b)}),
-            Matrix(a - b, a, {(k, b + k): ONE for k in range(a - b)}))
+    return (Matrix(a, b, {(k, k): 1 for k in range(b)}),
+            Matrix(a - b, a, {(k, b + k): 1 for k in range(a - b)}))
 
 
 def adapted_extension(ext: Extension) -> Extension:
@@ -304,7 +303,7 @@ def _coordinate_map(source, target, positions, project=False) -> ChainMap:
     with project, the projection of source onto those coordinates."""
     return ChainMap(source, target, [Matrix(
         target.dims[n], source.dims[n],
-        {(k, p) if project else (p, k): ONE for k, p in enumerate(pos)})
+        {(k, p) if project else (p, k): 1 for k, p in enumerate(pos)})
         for n, pos in enumerate(positions)])
 
 

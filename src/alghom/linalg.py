@@ -5,6 +5,15 @@ defects) reduces to rank / kernel / image / solve over the rationals, so
 this module is the only place elimination happens.  All arithmetic is
 exact; there are no tolerances anywhere.
 
+Entry-type contract: a Matrix entry is a nonzero Python int or a
+nonzero Q, never a float or a bool.  Integral data (every differential
+built from integral structure constants) stays in ints, which are much
+cheaper than Q; the constructor keeps ints and coerces everything else
+through Q.  Sums and products of ints stay ints, and the only division
+of entries is in _echelon: a pivot of +-1 is inverted by negation, and
+any other pivot divides a Q numerator, so two ints are never divided.
+Every value equals the one the same operations give over Q alone.
+
 Determinism contract: elimination always pivots on the leftmost nonzero
 column, choosing the smallest-magnitude candidate entry (lowest row index
 on ties).  Kernel, image and cokernel bases are read off the reduced
@@ -66,7 +75,7 @@ class Matrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("entry index (%d,%d) out of bounds" % (r, c))
-                if type(v) is not Q:
+                if type(v) is not int and type(v) is not Q:
                     v = Q(v)
                 if v:
                     ents[(r, c)] = v
@@ -77,7 +86,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, {(i, i): ONE for i in range(n)})
+        return Matrix(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -89,13 +98,8 @@ class Matrix:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
-        ents = {}
-        for r, row in enumerate(data):
-            for c, v in enumerate(row):
-                v = Q(v)
-                if v:
-                    ents[(r, c)] = v
-        return Matrix(rows, cols, ents)
+        return Matrix(rows, cols, {(r, c): v for r, row in enumerate(data)
+                                   for c, v in enumerate(row)})
 
     @staticmethod
     def from_columns(rows: int, columns) -> "Matrix":
@@ -146,7 +150,7 @@ class Matrix:
         for (j, k), w in other.entries.items():
             for i, v in left_cols[j].items():
                 key = (i, k)
-                s = out.get(key, ZERO) + v * w
+                s = out.get(key, 0) + v * w
                 if s:
                     out[key] = s
                 elif key in out:
@@ -158,7 +162,7 @@ class Matrix:
             raise ValueError("shape mismatch in matrix sum")
         out = dict(self.entries)
         for key, v in other.entries.items():
-            s = out.get(key, ZERO) + v
+            s = out.get(key, 0) + v
             if s:
                 out[key] = s
             elif key in out:
@@ -166,10 +170,11 @@ class Matrix:
         return Matrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(Q(-1))
+        return self + other.scale(-1)
 
     def scale(self, a) -> "Matrix":
-        a = Q(a)
+        if type(a) is not int:
+            a = Q(a)
         if not a:
             return Matrix.zero(self.rows, self.cols)
         return Matrix(self.rows, self.cols,
@@ -183,7 +188,7 @@ class Matrix:
             if not x:
                 continue
             for r, v in cols[c].items():
-                s = out.get(r, ZERO) + v * x
+                s = out.get(r, 0) + v * x
                 if s:
                     out[r] = s
                 elif r in out:
@@ -231,7 +236,9 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
     smallest-magnitude entry (lowest row index on ties).  With
     reduce=True the result is the reduced row echelon form (pivots 1,
     zeros above and below).  Columns >= pivot_limit are never pivoted on
-    (used for augmented solves).
+    (used for augmented solves).  A pivot of +-1 is its own inverse, so
+    its row is negated or kept and its factors are products; any other
+    pivot divides a Q (see the entry-type contract).
 
     Returns (pivots, leftover) where pivots is a list of (col, row_dict)
     in increasing column order and leftover are the surviving non-pivot
@@ -257,20 +264,25 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
         p = min(cand, key=lambda i: (abs(rows[i][c]), i))
         prow = rows[p]
         pv = prow[c]
-        if reduce and pv != ONE:
-            inv = ONE / pv
-            for cc in prow:
-                prow[cc] *= inv
-            pv = ONE
+        if reduce and pv != 1:
+            if pv == -1:
+                for cc in prow:
+                    prow[cc] = -prow[cc]
+            else:
+                inv = ONE / pv
+                for cc in prow:
+                    prow[cc] *= inv
+            pv = 1
+        unit = pv == 1 or pv == -1
         if reduce:
             targets = [i for i in live if i != p]
         else:
             targets = [i for i in live if i != p and i not in pivot_of]
         for i in sorted(targets):
             trow = rows[i]
-            f = trow[c] / pv
+            f = trow[c] * pv if unit else Q(trow[c]) / pv
             for cc, w in prow.items():
-                s = trow.get(cc, ZERO) - f * w
+                s = trow.get(cc, 0) - f * w
                 if s:
                     if cc not in trow:
                         colmap.setdefault(cc, set()).add(i)
@@ -402,7 +414,7 @@ def kernel_basis(M: Matrix) -> Subspace:
     free_cols = [c for c in range(M.cols) if c not in pivot_cols]
     columns = []
     for f in free_cols:
-        col = {f: ONE}
+        col = {f: 1}
         for pc, row in pivots:
             w = row.get(f)
             if w:
@@ -432,7 +444,7 @@ def cokernel(M: Matrix) -> Cokernel:
     pivot_set = {c for c, _ in pivots}
     free_coords = [q for q in range(M.rows) if q not in pivot_set]
     free_index = {q: qi for qi, q in enumerate(free_coords)}
-    ents = {(qi, q): ONE for qi, q in enumerate(free_coords)}
+    ents = {(qi, q): 1 for qi, q in enumerate(free_coords)}
     # one pass over the nonzeros of the RREF: entry w of pivot row pc in
     # free coordinate q puts -w at (index of q, pc) in the projection
     for pc, row in pivots:
@@ -442,7 +454,7 @@ def cokernel(M: Matrix) -> Cokernel:
                 ents[(qi, pc)] = -w
     projection = Matrix(len(free_coords), M.rows, ents)
     section = Matrix(M.rows, len(free_coords),
-                     {(q, qi): ONE for qi, q in enumerate(free_coords)})
+                     {(q, qi): 1 for qi, q in enumerate(free_coords)})
     M._cache.setdefault("rank", len(pivots))
     return Cokernel(projection, len(free_coords), section)
 
@@ -483,7 +495,7 @@ def solve_many(M: Matrix, B: Matrix, free_value=0):
     out = {}
     for k in range(B.cols):
         for pc, row in pivots:
-            val = row.get(n + k, ZERO)
+            val = row.get(n + k, 0)
             if fv:
                 for f in free_cols:
                     w = row.get(f)

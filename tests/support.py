@@ -1,8 +1,8 @@
 """Shared helpers for the property suites: random chain complexes and
 short exact sequences, snake-lemma checks on them, the
 homology/cohomology window implications for injective chain maps,
-Kronecker products and the kernel span lemma they check, and a fixed
-change of basis for extensions."""
+Kronecker products and the kernel span lemma they check, and fixed
+changes of basis for extensions."""
 
 import random
 
@@ -13,7 +13,7 @@ from alghom.complexes import (
     induced_map_on_homology, long_exact_sequence,
 )
 from alghom.linalg import (
-    Matrix, ONE, Q, Subspace, ZERO, hstack, kernel_basis, rank,
+    Matrix, ONE, Q, Subspace, ZERO, hstack, kernel_basis, rank, solve_many,
 )
 
 
@@ -214,26 +214,23 @@ def lemma_vanishing_check(seed: int, degrees: int = 4, max_dim: int = 4) -> tupl
     return violations, nonvacuous
 
 
-# A fixed unimodular integer change of basis f = S e of a 3-dimensional
-# algebra (det S = 1) and its inverse.
+# Changes of basis f = S e of a 3-dimensional algebra.  A unimodular
+# one (det 1) keeps integral structure constants integral; the one with
+# det 4 gives every 3-dimensional corpus algebra fractional ones, also
+# after adapted_extension.
 BASIS_CHANGE = ((2, 1, 1), (1, 1, 1), (1, 1, 2))
-BASIS_CHANGE_INVERSE = ((1, -1, 0), (-1, 3, -1), (0, -1, 1))
+BASIS_CHANGE_DET_4 = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
 
-def rebased(ext):
+def rebased(ext, S=BASIS_CHANGE):
     """ext with its 3-dimensional A rewritten in the basis f = S e and
     rebuilt with quotient_extension, so that the ideal is no longer
     spanned by basis vectors."""
-    S, S_inv, d = BASIS_CHANGE, BASIS_CHANGE_INVERSE, ext.A.dim
+    d = ext.A.dim
     assert d == len(S)
-    mult = {}
-    for a in range(d):
-        for b in range(d):
-            prod = ext.A.product({i: S[i][a] for i in range(d)},
-                                 {j: S[j][b] for j in range(d)})
-            mult[(a, b)] = {k: sum(S_inv[k][p] * v for p, v in prod.items())
-                            for k in range(d)}
+    S_inv = solve_many(Matrix.from_dense(S), Matrix.identity(d))
+    mult = {(a, b): S_inv.apply_dict(ext.A.product(
+                {i: S[i][a] for i in range(d)}, {j: S[j][b] for j in range(d)}))
+            for a in range(d) for b in range(d)}
     A = Algebra(d, ["f%d" % k for k in range(d)], mult)
-    S_inv_matrix = Matrix.from_dense(S_inv)
-    return quotient_extension(A, S_inv_matrix @ ext.i.matrix,
-                              ext.B.basis_names)
+    return quotient_extension(A, S_inv @ ext.i.matrix, ext.B.basis_names)

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from alghom import cli
+from alghom import cli, complexes
 from alghom.cli import main
 from alghom.complexes import LiftFailure
 from alghom.corpus import build
 from alghom.excision import check_bar_invariance, excision_report
 from alghom.fileio import dump_document, load_document
+from alghom.linalg import Q
 
 
 @pytest.fixture
@@ -204,6 +205,43 @@ def test_homology_rejects_non_associative_algebra(capsys, tmp_path):
     assert out == ""
     assert "associativ" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_trace_rejects_non_associative_algebra(capsys, tmp_path):
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps(NON_ASSOCIATIVE_A))
+    code, out, err = run(capsys, "trace", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: not an associative algebra")
+    assert len(err.strip().splitlines()) == 1
+
+
+# (theory, the check_complex call that fails, the complex it names)
+BROKEN_BUILDS = [("hochschild", 1, "simplicial complex"),
+                 ("bar", 1, "bar complex"),
+                 ("cyclic", 2, "cyclic quotient complex")]
+
+
+@pytest.mark.parametrize("theory, failing_call, what", BROKEN_BUILDS)
+def test_built_non_complex_exits_one(capsys, monkeypatch, m2_file, theory,
+                                     failing_call, what):
+    """A complex that fails check_complex exits 1 with one line naming
+    the layer, the complex and the degree, never a traceback."""
+    calls = []
+
+    def broken(K):
+        calls.append(K)
+        if len(calls) == failing_call:
+            return (1, {"entry": (0, 3), "value": Q(-1, 2)})
+        return None
+    monkeypatch.setattr(complexes, "check_complex", broken)
+    code, out, err = run(capsys, "homology", m2_file, "--theory", theory)
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "internal invariant failed in layer complexes: NotAComplex: %s is "
+        "not a complex at degree 1: d_1 d_2 has entry -1/2 at (0, 3)" % what]
 
 
 @pytest.mark.parametrize("command", ["homology", "excision"])

@@ -10,7 +10,8 @@ from alghom import complexes, linalg
 from alghom.algebra import preset
 from alghom.hochschild import hochschild_complex
 from alghom.complexes import (
-    ChainComplex, ChainMap, LiftFailure, WellDefinednessViolation,
+    ChainComplex, ChainMap, LiftFailure, NotAComplex,
+    WellDefinednessViolation,
     assemble_sequence, check_chain_map, check_complex, check_ses,
     cohomology_dims, connecting_homomorphism, dualize, dualize_map,
     homology_at, homology_dims, induced_map_on_homology,
@@ -39,6 +40,13 @@ def test_check_complex_catches_bad_differential():
     d1 = Matrix.from_dense([[1], [0]])
     K = ChainComplex([1, 2, 1], [d0, d1])
     assert check_complex(K) is not None
+
+
+def test_homology_of_a_non_complex_names_the_degree():
+    # d0 d1 = 1: the boundary of degree 1 is not a cycle
+    K = ChainComplex([1, 1, 1], [Matrix.identity(1), Matrix.identity(1)])
+    with pytest.raises(NotAComplex, match="at degree 1"):
+        homology_at(K, 1)
 
 
 @settings(max_examples=50, deadline=None)

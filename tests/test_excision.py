@@ -26,7 +26,7 @@ from alghom.excision import (
 from alghom.hochschild import adapted_extension
 from alghom.linalg import Matrix
 
-from support import rebased
+from support import BASIS_CHANGE_DET_4, rebased
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,3 +392,16 @@ def test_report_is_basis_independent(name):
     assert adapted.j.matrix == Matrix(a - b, a, {(k, b + k): 1
                                                  for k in range(a - b)})
     assert validate_extension(adapted) is None
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CORPUS
+                                        if build(n).A.dim == 3))
+def test_report_is_invariant_under_non_unimodular_rebasing(name):
+    """A change of basis with det 4 gives A fractional structure
+    constants, so the complexes mix int and Q entries; the report is
+    the same except for the unit element."""
+    ext, moved = build(name), rebased(build(name), BASIS_CHANGE_DET_4)
+    assert any(c.denominator != 1 for prod in moved.A.mult.values()
+               for c in prod.values())
+    assert (_without_unit_element(excision_report(moved, 2))
+            == _without_unit_element(excision_report(ext, 2)))

@@ -8,7 +8,7 @@ import pytest
 
 from alghom import hochschild, linalg
 from alghom.algebra import (
-    AlgebraHom, Extension, preset, validate_extension,
+    Algebra, AlgebraHom, Extension, preset, validate_extension,
 )
 from alghom.complexes import (
     check_chain_map, check_complex, cohomology_dims, homology_dims,
@@ -21,7 +21,7 @@ from alghom.hochschild import (
     cyclic_quotient, hochschild_complex, kernel_subcomplex,
     rotation_orbits, trace_space,
 )
-from alghom.linalg import Matrix, ONE, ZERO, kernel_basis, rank
+from alghom.linalg import Matrix, ONE, Q, ZERO, kernel_basis, rank
 
 from support import kron_power, verify_kernel_span
 
@@ -72,6 +72,20 @@ def test_differential_matches_oracle(A, wrap):
     C = hochschild_complex(A, 2) if wrap else bar_complex(A, 2)
     for n in range(C.top_degree):
         assert C.diffs[n] == oracle_differential(A, n, wrap)
+
+
+def test_integral_preset_builds_int_entries():
+    """Integral structure constants give int entries in every
+    differential of the simplicial, bar and cyclic complexes; a
+    non-integral constant gives Q entries."""
+    A = preset("matrix", k=2)
+    C = hochschild_complex(A, 1)
+    for K in (C, bar_complex(A, 1), connes_complex(C)[0]):
+        assert all(type(v) is int for d in K.diffs for v in d.entries.values())
+    half = Algebra(1, None, {(0, 0): {0: Q(1, 2)}})
+    C = hochschild_complex(half, 1)
+    assert {v for d in C.diffs for v in d.entries.values()} == {Q(1, 2)}
+    assert all(type(v) is Q for d in C.diffs for v in d.entries.values())
 
 
 def test_field_differentials_alternate():

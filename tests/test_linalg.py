@@ -12,7 +12,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from alghom.linalg import (
-    CompositionNotZero, Matrix, ONE, Q, Subspace, ZERO, _rref_of_transpose,
+    CompositionNotZero, Matrix, ONE, Q, Subspace, ZERO, _echelon,
+    _rref_of_transpose,
     cokernel, exactness_defect, format_q, hstack, image_basis, kernel_basis,
     parse_q, rank, solve, solve_many,
 )
@@ -259,11 +260,80 @@ def test_cokernel_projection_matches_double_loop(M):
     assert cokernel(M).projection == cokernel_projection_oracle(M)
 
 
+def is_exact(v) -> bool:
+    """An entry allowed by the entry-type contract."""
+    return (type(v) is int or type(v) is Q) and v != 0
+
+
 def test_matrix_constructor_checks_and_converts():
+    """Entry-type contract: ints stay ints, everything else goes
+    through Q, zeros are dropped, and no entry is a float or a bool."""
     with pytest.raises(ValueError):
         Matrix(2, 2, {(2, 0): ONE})
     with pytest.raises(ValueError):
         Matrix(2, 2, {(0, -1): ONE})
-    M = Matrix(2, 2, {(0, 0): 3, (0, 1): "2/4", (1, 0): 0, (1, 1): Q(0)})
-    assert M.entries == {(0, 0): Q(3), (0, 1): Q(1, 2)}
-    assert all(type(v) is Q for v in M.entries.values())
+    M = Matrix(2, 3, {(0, 0): 3, (0, 1): "2/4", (0, 2): True, (1, 0): 0,
+                      (1, 1): Q(0), (1, 2): 0.5})
+    assert M.entries == {(0, 0): 3, (0, 1): Q(1, 2), (0, 2): 1,
+                         (1, 2): Q(1, 2)}
+    assert type(M.entries[(0, 0)]) is int
+    assert all(type(M.entries[k]) is Q for k in [(0, 1), (0, 2), (1, 2)])
+    assert all(is_exact(v) for v in M.entries.values())
+
+
+def test_integral_arithmetic_stays_integral():
+    A = Matrix.from_dense([[1, -2], [0, 3]])
+    I = Matrix.identity(2)
+    for M in [A, I, A @ A, A + I, A - I, A.scale(-2), A.transpose(),
+              Matrix.from_columns(2, A.column_dicts())]:
+        assert all(type(v) is int for v in M.entries.values()), M
+    assert all(type(v) is int for v in A.apply_dict({0: 2, 1: -1}).values())
+
+
+def integer_rows(rng, rows, cols):
+    """Rows with entries of magnitude 2..9, so that no first pivot is
+    a unit and later ones are rarely so."""
+    return [{c: rng.choice([-1, 1]) * rng.randint(2, 9) for c in range(cols)
+             if rng.random() < 0.6} for _ in range(rows)]
+
+
+def as_q(rows):
+    return [{c: Q(v) for c, v in row.items()} for row in rows]
+
+
+def echelon_entries(result):
+    pivots, leftover = result
+    return ([v for _, row in pivots for v in row.values()]
+            + [v for row in leftover for v in row.values()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 6))
+def test_echelon_on_ints_equals_echelon_on_q(seed, nrows, ncols):
+    """Integer rows with non-unit pivots eliminate to exactly what the
+    same rows given as Q do, with no float anywhere."""
+    rng = random.Random(seed)
+    rows = integer_rows(rng, nrows, ncols)
+    for reduce in (True, False):
+        got = _echelon(rows, ncols, reduce=reduce)
+        assert got == _echelon(as_q(rows), ncols, reduce=reduce)
+        assert all(is_exact(v) for v in echelon_entries(got))
+    M = Matrix(nrows, ncols, {(r, c): v for r, row in enumerate(rows)
+                              for c, v in row.items()})
+    B = M @ Matrix(ncols, 2, {(c, k): rng.randint(-3, 3)
+                              for c in range(ncols) for k in range(2)})
+    X = solve_many(M, B)
+    Mq = Matrix(M.rows, M.cols, {k: Q(v) for k, v in M.entries.items()})
+    Bq = Matrix(B.rows, B.cols, {k: Q(v) for k, v in B.entries.items()})
+    assert X == solve_many(Mq, Bq)
+    assert M @ X == B
+    assert all(is_exact(v) for v in X.entries.values())
+
+
+def test_echelon_divides_by_a_non_unit_pivot():
+    rows = [{0: 2, 1: 3}, {0: 4, 1: 5}]
+    for reduce, expected in [(False, [(0, {0: 2, 1: 3}), (1, {1: -1})]),
+                             (True, [(0, {0: 1}), (1, {1: 1})])]:
+        pivots, _ = _echelon(rows, 2, reduce=reduce)
+        assert pivots == expected
+        assert all(is_exact(v) for _, row in pivots for v in row.values())
