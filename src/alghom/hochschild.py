@@ -21,11 +21,22 @@ Sign conventions (single source of truth for this repo):
   bar differential: the same sum without the wrap-around term.
   cyclic operator: t_n (a_0 (x)...(x) a_n) =
       (-1)^n  a_n (x) a_0 (x)...(x) a_{n-1},  with t_0 = id.
+
+Recursion (how _build_complex builds both differentials degree by
+degree): the bar differential b'_n: C_{n+1} -> C_n satisfies
+      b'_n = b'_{n-1} (x) 1  +  (-1)^n  1^(x)n (x) mu
+(Loday, Cyclic Homology, 1.1), so b'_{n-1} (x) 1 moves each entry
+(r, c) to (r d + x, c d + x) for every last factor x, and the new face
+multiplies the last two factors: for each nonzero product
+e_x e_y = sum c_k e_k and every mid < d^n, column (mid d + x) d + y
+gets c_k (-1)^n in row mid d + k.  The simplicial d_n is b'_n plus the
+wrap face: for each nonzero product e_x e_y = sum c_k e_k and every
+mid < d^n, column (y d^n + mid) d + x (a_0 = e_y, a_{n+1} = e_x) gets
+c_k (-1)^(n+1) in row k d^n + mid.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -70,58 +81,73 @@ def check_degree_cap(dim: int, n_report: int, force: bool = False):
 # -- simplicial and bar complexes ------------------------------------
 
 
-def _chain_differential(A: Algebra, n: int, wrap: bool) -> Matrix:
-    """d_n (or dr_n when wrap=False): C_{n+1}(A) -> C_n(A).
+def _accumulate(ents: dict, terms):
+    """Add the (key, value) terms, all nonzero, into ents, and delete a
+    key whose sum cancels, so that ents stays clean."""
+    for key, v in terms:
+        s = ents.get(key, 0) + v
+        if s:
+            ents[key] = s
+        else:
+            del ents[key]
 
-    Face i <= n of the tensor at flat index col = (pre, a_i, a_{i+1},
-    rest) puts the product a_i a_{i+1} between pre and rest; the
-    wrap-around face puts a_{n+1} a_0 in front of rest = a_1 ... a_n.
-    Sums that cancel are dropped by the Matrix constructor.  Integral
-    structure constants are read as ints, so integral data gives an
-    integral matrix."""
+
+def _build_complex(A: Algebra, top: int, wrap: bool) -> ChainComplex:
+    """The simplicial complex of A (the bar complex when wrap=False) in
+    degrees 0 ... top, by the recursion of the module docstring.  It is
+    not checked here: hochschild_complex and bar_complex run
+    require_complex on it, and trace_space reads only d_0.
+
+    b'_n is b'_{n-1} (x) 1, a dict comprehension whose keys are
+    distinct, plus the new face, accumulated over the nonzero products
+    of A only.  The wrap face of degree n - 1 is added to b'_{n-1} in
+    place once b'_n has been read off it, so each degree's entries are
+    held once.  Integral structure constants are read as ints, so
+    integral data gives an integral matrix."""
     d = A.dim
-    mult = {key: {k: int(c) if c.denominator == 1 else c
-                  for k, c in prod.items()}
-            for key, prod in A.mult.items()}
-    # (left slot, right slot, sign, weight of the product's slot)
-    faces = [(i, i + 1, 1 if i % 2 == 0 else -1, d ** (n - i))
-             for i in range(n + 1)]
-    if wrap:
-        faces.append((n + 1, 0, 1 if n % 2 else -1, d ** n))
-    ents = {}
-    for col, factors in enumerate(itertools.product(range(d), repeat=n + 2)):
-        for left, right, sign, scale in faces:
-            prod = mult.get((factors[left], factors[right]))
-            if not prod:
-                continue
-            if right:
-                base = col // (scale * d * d) * d * scale + col % scale
-            else:
-                base = col // d % scale
-            for k, c in prod.items():
-                key = (base + k * scale, col)
-                ents[key] = ents.get(key, 0) + sign * c
-    return Matrix(d ** (n + 1), d ** (n + 2), ents)
+    products = [(x, y, [(k, int(c) if c.denominator == 1 else c)
+                        for k, c in prod.items()])
+                for (x, y), prod in A.mult.items()]
 
+    def finish(ents, n):
+        """d_n from b'_n: add the wrap face, e_x e_y = sum c_k e_k for
+        a_{n+1} = e_x and a_0 = e_y."""
+        if wrap:
+            sign, span = (1 if n % 2 else -1), d ** n
+            _accumulate(ents, (((k * span + mid, (y * span + mid) * d + x),
+                                sign * c)
+                               for x, y, prod in products for k, c in prod
+                               for mid in range(span)))
+        return Matrix._trusted(d ** (n + 1), d ** (n + 2), ents)
 
-def _build_complex(A: Algebra, n_report: int, wrap: bool,
-                   force: bool = False) -> ChainComplex:
-    check_degree_cap(A.dim, n_report, force)
-    n_internal = n_report + 2
-    dims = [A.dim ** (n + 1) for n in range(n_internal + 1)]
-    diffs = [_chain_differential(A, n, wrap) for n in range(n_internal)]
-    return require_complex(ChainComplex(dims, diffs),
-                           "simplicial complex" if wrap else "bar complex")
+    diffs, bar = [], {}
+    for n in range(top):
+        ents = {(r * d + x, c * d + x): v
+                for (r, c), v in bar.items() for x in range(d)}
+        sign = 1 if n % 2 == 0 else -1
+        _accumulate(ents, (((mid * d + k, (mid * d + x) * d + y), sign * c)
+                           for x, y, prod in products for k, c in prod
+                           for mid in range(d ** n)))
+        if n:
+            diffs.append(finish(bar, n - 1))
+        bar = ents
+    if top:
+        diffs.append(finish(bar, top - 1))
+    return ChainComplex([d ** (n + 1) for n in range(top + 1)], diffs)
 
 
 def hochschild_complex(A: Algebra, n_report: int, force: bool = False) -> ChainComplex:
     """Simplicial chain complex of A to internal degree n_report + 2."""
-    return _build_complex(A, n_report, wrap=True, force=force)
+    check_degree_cap(A.dim, n_report, force)
+    return require_complex(_build_complex(A, n_report + 2, wrap=True),
+                           "simplicial complex")
 
 
 def bar_complex(A: Algebra, n_report: int, force: bool = False) -> ChainComplex:
     """Bar chain complex (no wrap-around term)."""
-    return _build_complex(A, n_report, wrap=False, force=force)
+    check_degree_cap(A.dim, n_report, force)
+    return require_complex(_build_complex(A, n_report + 2, wrap=False),
+                           "bar complex")
 
 
 # -- cyclic quotient -------------------------------------------------
@@ -216,7 +242,9 @@ def _relabel(dn: Matrix, rows: Orbits, cols: Orbits, n: int) -> Matrix:
         if not ok:
             raise InducedMapNotWellDefined(
                 "differential does not preserve Im(1 - t) at degree %d" % n)
-    return Matrix.from_columns(len(rows.reps), out)
+    return Matrix._trusted(len(rows.reps), len(out),
+                           {(r, k): v for k, img in enumerate(out)
+                            for r, v in img.items()})
 
 
 def connes_complex(C: ChainComplex):
@@ -240,7 +268,7 @@ def cyclic_complex(A: Algebra, n_report: int, force: bool = False):
 def trace_space(A: Algebra) -> Subspace:
     """Functionals f with f(ab) = f(ba), as a subspace of the dual:
     the kernel of the transposed degree-0 differential."""
-    d0 = _chain_differential(A, 0, wrap=True)
+    d0 = _build_complex(A, 1, wrap=True).diffs[0]
     return kernel_basis(d0.transpose())
 
 
@@ -294,7 +322,7 @@ def _restrict(K: ChainComplex, keep, sub: bool = True):
             elif c in cols and sub:
                 raise ClosureViolation(
                     "differential leaves the subcomplex at degree %d" % n)
-        diffs.append(Matrix(len(keep[n]), len(keep[n + 1]), ents))
+        diffs.append(Matrix._trusted(len(keep[n]), len(keep[n + 1]), ents))
     return ChainComplex([len(k) for k in keep], diffs)
 
 

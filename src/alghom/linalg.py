@@ -82,6 +82,16 @@ class Matrix:
         self.entries = ents
         self._cache = {}
 
+    @staticmethod
+    def _trusted(rows: int, cols: int, entries: dict) -> "Matrix":
+        """A Matrix that takes entries as they are, unchecked and
+        uncopied.  Only for a dict that is clean by construction: every
+        key in bounds, every value a nonzero int or Q, and no other
+        holder that changes it."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m.entries, m._cache = rows, cols, entries, {}
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -137,8 +147,8 @@ class Matrix:
         """The transpose, which keeps its source under "transpose_of"
         so the two share one RREF (_shared_rref).  The link is one-way:
         a source keeps no transpose alive."""
-        t = Matrix(self.cols, self.rows,
-                   {(c, r): v for (r, c), v in self.entries.items()})
+        t = Matrix._trusted(self.cols, self.rows,
+                            {(c, r): v for (r, c), v in self.entries.items()})
         t._cache["transpose_of"] = self
         return t
 
@@ -155,7 +165,7 @@ class Matrix:
                     out[key] = s
                 elif key in out:
                     del out[key]
-        return Matrix(self.rows, other.cols, out)
+        return Matrix._trusted(self.rows, other.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -167,7 +177,7 @@ class Matrix:
                 out[key] = s
             elif key in out:
                 del out[key]
-        return Matrix(self.rows, self.cols, out)
+        return Matrix._trusted(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
@@ -412,14 +422,15 @@ def kernel_basis(M: Matrix) -> Subspace:
     pivots, _ = _rref(M)
     pivot_cols = {c for c, _ in pivots}
     free_cols = [c for c in range(M.cols) if c not in pivot_cols]
-    columns = []
-    for f in free_cols:
-        col = {f: 1}
-        for pc, row in pivots:
-            w = row.get(f)
-            if w:
-                col[pc] = -w
-        columns.append(col)
+    free_index = {f: k for k, f in enumerate(free_cols)}
+    columns = [{f: 1} for f in free_cols]
+    # one pass over the nonzeros of the RREF: entry w of pivot row pc in
+    # free column f puts -w in row pc of f's kernel column
+    for pc, row in pivots:
+        for f, w in row.items():
+            k = free_index.get(f)
+            if k is not None:
+                columns[k][pc] = -w
     M._cache.setdefault("rank", len(pivots))
     return Subspace(M.cols, Matrix.from_columns(M.cols, columns),
                     coordinate_rows=tuple(free_cols))

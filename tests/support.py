@@ -1,8 +1,8 @@
 """Shared helpers for the property suites: random chain complexes and
 short exact sequences, snake-lemma checks on them, the
 homology/cohomology window implications for injective chain maps,
-Kronecker products and the kernel span lemma they check, and fixed
-changes of basis for extensions."""
+Kronecker products and the kernel span lemma they check, the probing
+kernel basis oracle, and fixed changes of basis for extensions."""
 
 import random
 
@@ -13,7 +13,8 @@ from alghom.complexes import (
     induced_map_on_homology, long_exact_sequence,
 )
 from alghom.linalg import (
-    Matrix, ONE, Q, Subspace, ZERO, hstack, kernel_basis, rank, solve_many,
+    Matrix, ONE, Q, Subspace, ZERO, _rref, hstack, kernel_basis, rank,
+    solve_many,
 )
 
 
@@ -108,6 +109,25 @@ def kron_power(M: Matrix, n: int) -> Matrix:
     for _ in range(n - 1):
         out = kron(out, M)
     return out
+
+
+def kernel_basis_by_probing(M: Matrix) -> Subspace:
+    """kernel_basis by a double loop over the RREF: each free column
+    probes every pivot row for its entry.  The oracle for the one-pass
+    walk of kernel_basis."""
+    pivots, _ = _rref(M)
+    pivot_cols = {c for c, _ in pivots}
+    free_cols = [c for c in range(M.cols) if c not in pivot_cols]
+    columns = []
+    for f in free_cols:
+        col = {f: 1}
+        for pc, row in pivots:
+            w = row.get(f)
+            if w:
+                col[pc] = -w
+        columns.append(col)
+    return Subspace(M.cols, Matrix.from_columns(M.cols, columns),
+                    coordinate_rows=tuple(free_cols))
 
 
 def verify_kernel_span(ext, n: int):

@@ -23,7 +23,7 @@ from alghom.hochschild import (
 )
 from alghom.linalg import Matrix, ONE, Q, ZERO, kernel_basis, rank
 
-from support import kron_power, verify_kernel_span
+from support import kron_power, rebased, verify_kernel_span
 
 
 def oracle_differential(A, n, wrap):
@@ -64,12 +64,20 @@ def oracle_differential(A, n, wrap):
 
 SMALL = [preset("field"), preset("zero_mult", d=2),
          preset("truncated_poly", m=3), preset("upper_triangular", k=2)]
+HALF = Algebra(1, None, {(0, 0): {0: Q(1, 2)}})
 
 
-@pytest.mark.parametrize("A", SMALL, ids=lambda a: repr(a))
+@pytest.mark.parametrize("A", SMALL + [
+    pytest.param(preset("matrix", k=2), id="matrix2"),
+    pytest.param(rebased(build("nilpotent_augmentation")).A,
+                 id="dense-rebased"),
+    pytest.param(HALF, id="half")], ids=lambda a: repr(a))
 @pytest.mark.parametrize("wrap", [True, False], ids=["full", "bar"])
 def test_differential_matches_oracle(A, wrap):
-    C = hochschild_complex(A, 2) if wrap else bar_complex(A, 2)
+    """Every differential up to internal degree 5, on sparse, dense
+    (all 9 products nonzero) and non-integral structure constants."""
+    C = hochschild_complex(A, 3) if wrap else bar_complex(A, 3)
+    assert C.top_degree == 5
     for n in range(C.top_degree):
         assert C.diffs[n] == oracle_differential(A, n, wrap)
 
@@ -82,8 +90,7 @@ def test_integral_preset_builds_int_entries():
     C = hochschild_complex(A, 1)
     for K in (C, bar_complex(A, 1), connes_complex(C)[0]):
         assert all(type(v) is int for d in K.diffs for v in d.entries.values())
-    half = Algebra(1, None, {(0, 0): {0: Q(1, 2)}})
-    C = hochschild_complex(half, 1)
+    C = hochschild_complex(HALF, 1)
     assert {v for d in C.diffs for v in d.entries.values()} == {Q(1, 2)}
     assert all(type(v) is Q for d in C.diffs for v in d.entries.values())
 
@@ -97,6 +104,20 @@ def test_field_differentials_alternate():
 def test_homology_tables():
     assert homology_dims(hochschild_complex(preset("field"), 3), 3) == [1, 0, 0, 0]
     assert homology_dims(hochschild_complex(preset("matrix", k=2), 3), 3) == [1, 0, 0, 0]
+
+
+def test_cstar_three_summands_closed_forms():
+    """A = M_2(Q) x Q x Q, the rational analogue of a finite-dimensional
+    C*-algebra with r = 3 simple summands (Morita invariance and
+    additivity): HH = [r, 0, 0], HC = [r, 0, r] and HR = 0, in homology
+    and in cohomology."""
+    A = preset("direct_sum", a=preset("matrix", k=2),
+               b=preset("direct_sum", a=preset("field"), b=preset("field")))
+    for K, closed in [(hochschild_complex(A, 2), [3, 0, 0]),
+                      (cyclic_complex(A, 2)[0], [3, 0, 3]),
+                      (bar_complex(A, 2), [0, 0, 0])]:
+        assert homology_dims(K, 2) == closed
+        assert cohomology_dims(K, 2) == closed
 
 
 def test_cyclic_field_alternation():

@@ -11,6 +11,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from alghom.algebra import preset
+from alghom.complexes import cohomology_dims, homology_dims
+from alghom.corpus import build
+from alghom.excision import excision_report
+from alghom.hochschild import bar_complex, cyclic_complex, hochschild_complex
 from alghom.linalg import (
     CompositionNotZero, Matrix, ONE, Q, Subspace, ZERO, _echelon,
     _rref_of_transpose,
@@ -18,7 +23,9 @@ from alghom.linalg import (
     parse_q, rank, solve, solve_many,
 )
 
-from support import kron, kron_power
+from support import (
+    BASIS_CHANGE_DET_4, kernel_basis_by_probing, kron, kron_power, rebased,
+)
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=5):
@@ -66,6 +73,18 @@ def test_kernel_basis_spans_sympy_nullspace(M):
     for v in to_sympy(M).nullspace():
         vec = {r: Q(str(v[r])) for r in range(M.cols) if v[r] != 0}
         assert ker.contains(vec)
+
+
+def test_kernel_basis_equals_probing_oracle():
+    """The one-pass walk over the RREF gives the same basis, with the
+    same entries inserted in the same order, as the double loop."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 9)
+        M = random_matrix(rng, rows, cols, density=rng.choice([0.2, 0.5, 0.9]))
+        got, want = kernel_basis(M), kernel_basis_by_probing(M)
+        assert got == want
+        assert list(got.basis.entries.items()) == list(want.basis.entries.items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -279,6 +298,29 @@ def test_matrix_constructor_checks_and_converts():
     assert type(M.entries[(0, 0)]) is int
     assert all(type(M.entries[k]) is Q for k in [(0, 1), (0, 2), (1, 2)])
     assert all(is_exact(v) for v in M.entries.values())
+
+
+def test_trusted_constructions_keep_the_entry_contract(monkeypatch):
+    """Matrix._trusted checks nothing, so every dict handed to it must
+    already be clean: in bounds, nonzero ints and Qs only.  Checked on
+    every trusted construction of one corpus report (in a basis with
+    fractional structure constants) and of a preset's three theories."""
+    trusted, sizes = Matrix._trusted, []
+
+    def checked(rows, cols, entries):
+        for (r, c), v in entries.items():
+            assert 0 <= r < rows and 0 <= c < cols, (r, c, rows, cols)
+            assert is_exact(v), v
+        sizes.append(len(entries))
+        return trusted(rows, cols, entries)
+
+    monkeypatch.setattr(Matrix, "_trusted", staticmethod(checked))
+    r = excision_report(rebased(build("nilpotent_corner"), BASIS_CHANGE_DET_4), 2)
+    assert r["verdict"]
+    A = preset("matrix", k=2)
+    for K in (hochschild_complex(A, 1), bar_complex(A, 1), cyclic_complex(A, 1)[0]):
+        assert homology_dims(K, 1) == cohomology_dims(K, 1)
+    assert len(sizes) > 100 and sum(sizes) > 1000
 
 
 def test_integral_arithmetic_stays_integral():
