@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .linalg import (
     Matrix, Q, ZERO, ONE,
-    cokernel, image_basis, kernel_basis, rank, solve, solve_many,
+    cokernel, image_basis, kernel_basis, rank, solve_many,
 )
 
 
@@ -293,7 +293,7 @@ class UnitWitness:
 def _unit_system(alg: Algebra, side: str):
     # left: sum_i x_i c[i][j][k] = delta_jk ; right: sum_i x_i c[j][i][k]
     ents = {}
-    rhs = []
+    rhs = {}
     row = 0
     for j in range(alg.dim):
         for k in range(alg.dim):
@@ -302,9 +302,10 @@ def _unit_system(alg: Algebra, side: str):
                      else alg.product_basis(j, i)).get(k)
                 if c:
                     ents[(row, i)] = c
-            rhs.append(ONE if j == k else ZERO)
+            if j == k:
+                rhs[(row, 0)] = 1
             row += 1
-    return Matrix(row, alg.dim, ents), rhs
+    return Matrix(row, alg.dim, ents), Matrix(row, 1, rhs)
 
 
 def find_one_sided_unit(alg: Algebra, side: str) -> UnitWitness:
@@ -316,10 +317,11 @@ def find_one_sided_unit(alg: Algebra, side: str) -> UnitWitness:
     if alg.dim == 0:
         return UnitWitness(side, [])
     M, rhs = _unit_system(alg, side)
-    x = solve(M, rhs)
-    if x is None:
+    sol = solve_many(M, rhs)
+    if sol is None:
         return UnitWitness("none")
-    return UnitWitness(side, x)
+    x = sol.column(0)
+    return UnitWitness(side, [x.get(i, ZERO) for i in range(alg.dim)])
 
 
 def unit_witness(alg: Algebra) -> UnitWitness:

@@ -3,32 +3,38 @@
 Everything downstream (chain complexes, homology dimensions, exactness
 defects) reduces to rank / kernel / image / solve over the rationals, so
 this module is the only place elimination happens.  All arithmetic is
-exact; there are no tolerances anywhere.
+exact; there are no tolerances anywhere.  The rationals are
+fractions.Fraction (Q below).
 
 Entry-type contract: a Matrix entry is a nonzero Python int or a
 nonzero Q, never a float or a bool.  Integral data (every differential
 built from integral structure constants) stays in ints, which are much
 cheaper than Q; the constructor keeps ints and coerces everything else
-through Q.  Sums and products of ints stay ints, and the only division
-of entries is in _echelon: a pivot of +-1 is inverted by negation, and
-any other pivot divides a Q numerator, so two ints are never divided.
+through Q.  Sums and products of ints stay ints.  _echelon eliminates
+fraction-free over the integers, where a row is only ever divided
+exactly, by its content; the only other division of entries is its
+read-out of a reduced form, which divides each pivot row by its pivot:
+an entry stays an int when that division is exact and becomes
+Q(w, pivot) otherwise, so two ints are never divided into a float.
 Every value equals the one the same operations give over Q alone.
 
 Determinism contract: elimination always pivots on the leftmost nonzero
-column, choosing the smallest-magnitude candidate entry (lowest row index
-on ties).  Kernel, image and cokernel bases are read off the reduced
-echelon form, so identical inputs give bit-identical bases.
+column, choosing the smallest-magnitude candidate entry of the integral
+rows (lowest row index on ties).  Kernel, image and cokernel bases are
+read off the reduced row echelon form, and solutions off that of a
+consistent augmented system.  A matrix determines its RREF uniquely,
+whichever rows are chosen as pivots, so identical inputs give
+bit-identical bases, equal to those of elimination over Q.  Without
+reduction only the pivot columns are read: they are the
+rank-increasing columns, also independent of the pivot rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction as Q
 from functools import cached_property
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Q
+from math import gcd, lcm
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -240,28 +246,44 @@ def hstack(mats) -> Matrix:
 
 
 def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
-    """Sparse Gaussian elimination with the deterministic pivot rule.
+    """Sparse fraction-free Gaussian elimination with the deterministic
+    pivot rule.
 
-    Pivots on the leftmost nonzero column; within a column picks the
-    smallest-magnitude entry (lowest row index on ties).  With
-    reduce=True the result is the reduced row echelon form (pivots 1,
-    zeros above and below).  Columns >= pivot_limit are never pivoted on
-    (used for augmented solves).  A pivot of +-1 is its own inverse, so
-    its row is negated or kept and its factors are products; any other
-    pivot divides a Q (see the entry-type contract).
+    A row with Q entries is first multiplied by the lcm of its
+    denominators, which keeps its span, so every row is integral.  Pivots
+    are on the leftmost nonzero column, on the smallest-magnitude entry
+    (lowest row index on ties).  A pivot pv = +-1 of row p is its own
+    inverse: with reduce=True p is negated when pv = -1, and a target
+    row t with entry a becomes t - a*pv*p.  Any other pivot turns t into
+    (pv/g)*t - (a/g)*p with g = gcd(a, pv) and the multiplier of t made
+    positive, and t is then divided by its content (the gcd of its
+    entries).  Columns >= pivot_limit are never pivoted on (used for
+    augmented solves).
+
+    With reduce=True each pivot row also clears its column in the earlier
+    pivot rows, and at the end is divided by its pivot: the result is the
+    reduced row echelon form (pivots 1, zeros above and below).  With
+    reduce=False the rows stay integral and only the pivot columns are
+    meaningful.
 
     Returns (pivots, leftover) where pivots is a list of (col, row_dict)
     in increasing column order and leftover are the surviving non-pivot
-    rows (nonzero only in columns >= pivot_limit when the input rows are
-    consistent).
+    rows (nonzero only in columns >= pivot_limit).
     """
     rows = [dict(r) for r in row_dicts]
     if pivot_limit is None:
         pivot_limit = ncols
     colmap = {}
     for i, r in enumerate(rows):
-        for c in r:
+        integral = True
+        for c, v in r.items():
             colmap.setdefault(c, set()).add(i)
+            if type(v) is not int:
+                integral = False
+        if not integral:
+            scale = lcm(*(v.denominator for v in r.values()))
+            for cc, v in r.items():
+                r[cc] = v.numerator * (scale // v.denominator)
 
     pivot_of = {}
     for c in range(pivot_limit):
@@ -274,14 +296,9 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
         p = min(cand, key=lambda i: (abs(rows[i][c]), i))
         prow = rows[p]
         pv = prow[c]
-        if reduce and pv != 1:
-            if pv == -1:
-                for cc in prow:
-                    prow[cc] = -prow[cc]
-            else:
-                inv = ONE / pv
-                for cc in prow:
-                    prow[cc] *= inv
+        if reduce and pv == -1:
+            for cc in prow:
+                prow[cc] = -prow[cc]
             pv = 1
         unit = pv == 1 or pv == -1
         if reduce:
@@ -290,7 +307,17 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
             targets = [i for i in live if i != p and i not in pivot_of]
         for i in sorted(targets):
             trow = rows[i]
-            f = trow[c] * pv if unit else Q(trow[c]) / pv
+            a = trow[c]
+            if unit:
+                f = a * pv
+            else:
+                g = gcd(a, pv)
+                m, f = pv // g, a // g
+                if m < 0:
+                    m, f = -m, -f
+                if m != 1:
+                    for cc, w in trow.items():
+                        trow[cc] = m * w
             for cc, w in prow.items():
                 s = trow.get(cc, 0) - f * w
                 if s:
@@ -301,9 +328,21 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
                     if cc in trow:
                         del trow[cc]
                         colmap[cc].discard(i)
+            if not unit:
+                content = gcd(*trow.values())
+                if content > 1:
+                    for cc, w in trow.items():
+                        trow[cc] = w // content
         pivot_of[p] = c
 
     pivots = sorted(((c, rows[p]) for p, c in pivot_of.items()), key=lambda t: t[0])
+    if reduce:
+        for c, row in pivots:
+            pv = row[c]
+            if pv != 1:
+                for cc, w in row.items():
+                    q, rem = divmod(w, pv)
+                    row[cc] = Q(w, pv) if rem else q
     leftover = [rows[i] for i in range(len(rows))
                 if i not in pivot_of and rows[i]]
     return pivots, leftover

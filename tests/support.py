@@ -2,7 +2,8 @@
 short exact sequences, snake-lemma checks on them, the
 homology/cohomology window implications for injective chain maps,
 Kronecker products and the kernel span lemma they check, the probing
-kernel basis oracle, and fixed changes of basis for extensions."""
+kernel basis oracle, elimination over Q as the oracle for the
+fraction-free elimination, and fixed changes of basis for extensions."""
 
 import random
 
@@ -128,6 +129,78 @@ def kernel_basis_by_probing(M: Matrix) -> Subspace:
         columns.append(col)
     return Subspace(M.cols, Matrix.from_columns(M.cols, columns),
                     coordinate_rows=tuple(free_cols))
+
+
+def echelon_over_q(row_dicts, ncols, *, reduce=True, pivot_limit=None):
+    """Sparse Gaussian elimination over Q with the deterministic pivot
+    rule; the oracle for the fraction-free linalg._echelon, which must
+    give the same RREF, pivot columns, rank and consistency verdict.
+
+    Pivots on the leftmost nonzero column; within a column picks the
+    smallest-magnitude entry (lowest row index on ties).  With
+    reduce=True the result is the reduced row echelon form (pivots 1,
+    zeros above and below).  Columns >= pivot_limit are never pivoted on
+    (used for augmented solves).  A pivot of +-1 is its own inverse, so
+    its row is negated or kept and its factors are products; any other
+    pivot divides a Q.
+
+    Returns (pivots, leftover) where pivots is a list of (col, row_dict)
+    in increasing column order and leftover are the surviving non-pivot
+    rows (nonzero only in columns >= pivot_limit when the input rows are
+    consistent).
+    """
+    rows = [dict(r) for r in row_dicts]
+    if pivot_limit is None:
+        pivot_limit = ncols
+    colmap = {}
+    for i, r in enumerate(rows):
+        for c in r:
+            colmap.setdefault(c, set()).add(i)
+
+    pivot_of = {}
+    for c in range(pivot_limit):
+        live = colmap.get(c)
+        if not live:
+            continue
+        cand = [i for i in live if i not in pivot_of]
+        if not cand:
+            continue
+        p = min(cand, key=lambda i: (abs(rows[i][c]), i))
+        prow = rows[p]
+        pv = prow[c]
+        if reduce and pv != 1:
+            if pv == -1:
+                for cc in prow:
+                    prow[cc] = -prow[cc]
+            else:
+                inv = ONE / pv
+                for cc in prow:
+                    prow[cc] *= inv
+            pv = 1
+        unit = pv == 1 or pv == -1
+        if reduce:
+            targets = [i for i in live if i != p]
+        else:
+            targets = [i for i in live if i != p and i not in pivot_of]
+        for i in sorted(targets):
+            trow = rows[i]
+            f = trow[c] * pv if unit else Q(trow[c]) / pv
+            for cc, w in prow.items():
+                s = trow.get(cc, 0) - f * w
+                if s:
+                    if cc not in trow:
+                        colmap.setdefault(cc, set()).add(i)
+                    trow[cc] = s
+                else:
+                    if cc in trow:
+                        del trow[cc]
+                        colmap[cc].discard(i)
+        pivot_of[p] = c
+
+    pivots = sorted(((c, rows[p]) for p, c in pivot_of.items()), key=lambda t: t[0])
+    leftover = [rows[i] for i in range(len(rows))
+                if i not in pivot_of and rows[i]]
+    return pivots, leftover
 
 
 def verify_kernel_span(ext, n: int):

@@ -16,6 +16,7 @@ from alghom.complexes import cohomology_dims, homology_dims
 from alghom.corpus import build
 from alghom.excision import excision_report
 from alghom.hochschild import bar_complex, cyclic_complex, hochschild_complex
+from alghom import linalg
 from alghom.linalg import (
     CompositionNotZero, Matrix, ONE, Q, Subspace, ZERO, _echelon,
     _rref_of_transpose,
@@ -24,7 +25,8 @@ from alghom.linalg import (
 )
 
 from support import (
-    BASIS_CHANGE_DET_4, kernel_basis_by_probing, kron, kron_power, rebased,
+    BASIS_CHANGE_DET_4, echelon_over_q, kernel_basis_by_probing, kron,
+    kron_power, rebased,
 )
 
 
@@ -379,3 +381,96 @@ def test_echelon_divides_by_a_non_unit_pivot():
         pivots, _ = _echelon(rows, 2, reduce=reduce)
         assert pivots == expected
         assert all(is_exact(v) for _, row in pivots for v in row.values())
+
+
+def test_echelon_keeps_integral_rows_primitive_and_oriented():
+    """A non-unit pivot pv turns a target t with entry a into
+    (pv/g) t - (a/g) p, g = gcd(a, pv), with the multiplier of t made
+    positive, and then divides t by its content."""
+    cases = [([{0: -2, 1: 1, 2: 1}, {0: 3, 1: 5, 2: 1}],
+              [(0, {0: -2, 1: 1, 2: 1}), (1, {1: 13, 2: 5})]),
+             ([{0: 4, 1: 6}, {0: 6, 1: 3}], [(0, {0: 4, 1: 6}), (1, {1: -1})])]
+    for rows, expected in cases:
+        pivots, leftover = _echelon(rows, 3, reduce=False)
+        assert pivots == expected and leftover == []
+        assert all(type(v) is int for _, row in pivots for v in row.values())
+
+
+def oracle_rows(rng):
+    """Rows for the fraction-free elimination: integer entries that make
+    most pivots non-units, Q entries, zero rows and repeated rows (equal
+    or a multiple), with the width of an augmented block."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    kind = rng.choice(["int", "q", "mixed"])
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for c in range(ncols):
+            if rng.random() < 0.6:
+                v = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 4, 6, 9])
+                if kind == "q" or (kind == "mixed" and rng.random() < 0.4):
+                    v = Q(v, rng.randint(1, 4))
+                row[c] = v
+        rows.append(row)
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(0, len(rows))
+        if rng.random() < 0.3 or not rows:
+            rows.insert(k, {})
+        else:
+            m = rng.choice([1, -2, 3, Q(1, 2)])
+            rows.insert(k, {c: m * v for c, v in rng.choice(rows).items()})
+    return rows, ncols, rng.randint(0, min(2, ncols - 1))
+
+
+def inconsistent(result, limit):
+    return any(c >= limit for row in result[1] for c in row)
+
+
+def test_fraction_free_echelon_matches_the_q_oracle(monkeypatch):
+    """The integer elimination gives the RREF of elimination over Q, the
+    same pivot columns, rank and consistency verdict with and without
+    reduction (also on augmented rows), entries within the entry-type
+    contract, and through it the same kernel, image, cokernel and
+    solutions."""
+    rng = random.Random(20261019)
+    for _ in range(400):
+        rows, ncols, extra = oracle_rows(rng)
+        limit = ncols - extra
+        before = [dict(r) for r in rows]
+        for reduce in (True, False):
+            got = _echelon(rows, ncols, reduce=reduce, pivot_limit=limit)
+            want = echelon_over_q(rows, ncols, reduce=reduce, pivot_limit=limit)
+            assert [c for c, _ in got[0]] == [c for c, _ in want[0]]
+            assert inconsistent(got, limit) == inconsistent(want, limit)
+            if not reduce:
+                assert all(type(v) is int for v in echelon_entries(got))
+                continue
+            assert all(is_exact(v) for v in echelon_entries(got))
+            if inconsistent(got, limit):
+                # pivot rows are unique only up to the leftover rows,
+                # which live in the augmented columns
+                assert ([{c: v for c, v in row.items() if c < limit}
+                         for _, row in got[0]]
+                        == [{c: v for c, v in row.items() if c < limit}
+                            for _, row in want[0]])
+            else:
+                assert got[0] == want[0]
+        assert rows == before
+        M = Matrix(len(rows), ncols, {(r, c): v for r, row in enumerate(rows)
+                                      for c, v in row.items()})
+        B = M @ Matrix(ncols, 2, {(c, k): rng.randint(-3, 3)
+                                  for c in range(ncols) for k in range(2)})
+        # column 0 is consistent, column 1 only when e_r is in the image
+        B = B + Matrix(M.rows, 2, {(rng.randrange(M.rows), 1): 1})
+
+        def outputs():
+            # a fresh matrix per call, so that no cached RREF is reused
+            def fresh():
+                return Matrix(M.rows, M.cols, M.entries)
+            return (kernel_basis(fresh()), image_basis(fresh()),
+                    cokernel(fresh()), solve_many(fresh(), B), rank(fresh()))
+
+        got = outputs()
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_echelon", echelon_over_q)
+            assert got == outputs()
