@@ -8,7 +8,6 @@ matrices for the inclusion and the quotient map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .linalg import (
@@ -21,7 +20,9 @@ class Algebra:
     """Associative algebra given by structure constants.
 
     mult maps a basis pair (i, j) to a sparse dict {k: value}; absent
-    pairs multiply to zero.  Instances are immutable after construction.
+    pairs multiply to zero.  An integral value is an int, any other a Q
+    (linalg's entry-type contract).  Instances are immutable after
+    construction.
     """
 
     def __init__(self, dim: int, basis_names=None, mult=None):
@@ -43,7 +44,7 @@ class Algebra:
                         raise ValueError("structure constant index out of range")
                     v = Q(v)
                     if v:
-                        clean[k] = v
+                        clean[k] = v.numerator if v.denominator == 1 else v
                 if clean:
                     table[(i, j)] = clean
         self.mult = table
@@ -58,7 +59,7 @@ class Algebra:
         for i, xi in x.items():
             for j, yj in y.items():
                 for k, c in self.mult.get((i, j), {}).items():
-                    s = out.get(k, ZERO) + xi * yj * c
+                    s = out.get(k, 0) + xi * yj * c
                     if s:
                         out[k] = s
                     elif k in out:
@@ -73,37 +74,21 @@ def validate_algebra(alg: Algebra):
     """Exhaustively check associativity.
 
     Returns a list of violations, one per failing triple (i, j, k), each
-    with both evaluated sides; the empty list means the algebra is valid.
-
-    Both sides of (e_i e_j) e_k = e_i (e_j e_k) are quadratic in the
-    structure constants, so the search runs on the integer constants
-    L * c for a common denominator L, which is several times faster than
-    rational arithmetic; a failing triple is evaluated again over Q.
-    """
-    scale = math.lcm(*(v.denominator for comp in alg.mult.values()
-                       for v in comp.values()))
-    table = {key: {k: v.numerator * (scale // v.denominator)
-                   for k, v in comp.items()}
-             for key, comp in alg.mult.items()}
-
-    def product(x, y):
-        out = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                for t, c in table.get((a, b), {}).items():
-                    out[t] = out.get(t, 0) + xa * yb * c
-        return {t: v for t, v in out.items() if v}
-
+    with both evaluated sides over Q; the empty list means the algebra is
+    valid.  Both sides of (e_i e_j) e_k = e_i (e_j e_k) are products of
+    structure constants, so an integral algebra is checked in int
+    arithmetic."""
     violations = []
     for i in range(alg.dim):
         for j in range(alg.dim):
             for k in range(alg.dim):
-                if (product(table.get((i, j), {}), {k: 1})
-                        != product({i: 1}, table.get((j, k), {}))):
+                left = alg.product(alg.product_basis(i, j), {k: 1})
+                right = alg.product({i: 1}, alg.product_basis(j, k))
+                if left != right:
                     violations.append({
                         "triple": (i, j, k),
-                        "left": alg.product(alg.product_basis(i, j), {k: ONE}),
-                        "right": alg.product({i: ONE}, alg.product_basis(j, k))})
+                        "left": {t: Q(v) for t, v in left.items()},
+                        "right": {t: Q(v) for t, v in right.items()}})
     return violations
 
 
@@ -267,7 +252,7 @@ def validate_extension(ext: Extension):
     # two-sided ideal check (implied, but verified directly)
     for a in range(ext.A.dim):
         for col in im_i.basis.column_dicts():
-            for prod in (ext.A.product({a: ONE}, col), ext.A.product(col, {a: ONE})):
+            for prod in (ext.A.product({a: 1}, col), ext.A.product(col, {a: 1})):
                 if prod and not ker_j.contains(prod):
                     return {"invariant": "i(B) two-sided ideal",
                             "detail": {"basis_index": a}}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .linalg import (
     Matrix, Subspace, hstack,
-    _echelon, format_q, image_basis, kernel_basis, rank, solve_many,
+    format_q, image_basis, kernel_basis, pivot_columns, rank, solve_many,
 )
 
 
@@ -133,7 +133,7 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
     # chosen by echelon pivots on [boundaries | cycles]
     combined = hstack([boundaries.basis, cycles.basis])
     nb = boundaries.dim
-    chosen = [c - nb for c in _rank_increasing_columns(combined) if c >= nb]
+    chosen = [c - nb for c in pivot_columns(combined) if c >= nb]
     cyc_cols = cycles.basis.column_dicts()
     reps = Matrix.from_columns(K.dims[n], [cyc_cols[c] for c in chosen])
     got = DegreeHomology(dim=cycles.dim - boundaries.dim,
@@ -145,13 +145,6 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
             "cycle" % (n, cycles.dim, boundaries.dim, reps.cols))
     K._homology[n] = got
     return got
-
-
-def _rank_increasing_columns(M: Matrix):
-    """Columns of M that successively increase the rank: the pivot
-    columns of the row echelon form, under the deterministic pivot rule."""
-    pivots, _ = _echelon(M.row_dicts(), M.cols, reduce=False)
-    return [c for c, _ in pivots]
 
 
 def homology_dims(K: ChainComplex, n_report: int):
@@ -353,35 +346,28 @@ def _node_defect(incoming: Matrix | None, outgoing: Matrix | None, dim: int):
 
 
 def assemble_sequence(entries, maps, *, genuine_top: bool, genuine_bottom: bool,
-                      window=None) -> LongSequence:
+                      window) -> LongSequence:
     """Generic defect computation for a candidate (long) sequence.
 
     entries: list of (label, degree, dim) from the top end downwards;
     maps: list of matrices between consecutive entries, with None for a
     map that could not be constructed.  genuine_top/bottom say whether
     the sequence really ends there (incoming/outgoing zero map), as
-    opposed to being a truncation.  window, when given, is a (lo, hi)
-    degree range outside which nodes are marked boundary.
+    opposed to being a truncation.  A node is cut, with no defect, when
+    it is a truncated end or an adjacent map is None; it is boundary
+    (excluded from pass/fail) when cut or outside the (lo, hi) window.
     """
     nodes = []
     for k, (label, degree, dim) in enumerate(entries):
         incoming = maps[k - 1] if k > 0 else None
         outgoing = maps[k] if k < len(maps) else None
-        at_top = k == 0
-        at_bottom = k == len(entries) - 1
-        boundary = (at_top and not genuine_top) or (at_bottom and not genuine_bottom)
-        if window is not None and not (window[0] <= degree <= window[1]):
-            boundary = True
-        defect = None
-        comp_zero = True
-        missing = ((incoming is None and at_top and not genuine_top)
-                   or (outgoing is None and at_bottom and not genuine_bottom)
-                   or (k > 0 and maps[k - 1] is None)
-                   or (k < len(maps) and maps[k] is None))
-        if not missing:
-            defect, comp_zero = _node_defect(incoming, outgoing, dim)
-        else:
-            boundary = True
+        cut = ((k == 0 and not genuine_top)
+               or (k == len(entries) - 1 and not genuine_bottom)
+               or (k > 0 and incoming is None)
+               or (k < len(maps) and outgoing is None))
+        defect, comp_zero = ((None, True) if cut
+                             else _node_defect(incoming, outgoing, dim))
+        boundary = cut or not window[0] <= degree <= window[1]
         nodes.append(SequenceNode(label, degree, dim, defect, boundary, comp_zero))
     return LongSequence(nodes, maps)
 

@@ -59,6 +59,9 @@ def algebra_from_obj(obj) -> Algebra:
         if (not isinstance(basis, list) or len(basis) != dim
                 or not all(isinstance(b, str) for b in basis)):
             raise ParseError("basis must be a list of %d strings" % dim)
+    if not isinstance(obj["mult"], list):
+        raise ParseError("mult must be a list of [i, j, {k: rational}] "
+                         "entries, got %r" % (obj["mult"],))
     mult = {}
     for entry in obj["mult"]:
         if not (isinstance(entry, list) and len(entry) == 3
@@ -148,10 +151,12 @@ def load_document(path: str):
     ('extension', Extension).  Raises ParseError (with line/column for
     malformed JSON) on any problem."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: not UTF-8 text: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ParseError("%s: malformed JSON at line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))

@@ -102,12 +102,10 @@ def _build_complex(A: Algebra, top: int, wrap: bool) -> ChainComplex:
     distinct, plus the new face, accumulated over the nonzero products
     of A only.  The wrap face of degree n - 1 is added to b'_{n-1} in
     place once b'_n has been read off it, so each degree's entries are
-    held once.  Integral structure constants are read as ints, so
+    held once.  Integral structure constants are ints (Algebra), so
     integral data gives an integral matrix."""
     d = A.dim
-    products = [(x, y, [(k, int(c) if c.denominator == 1 else c)
-                        for k, c in prod.items()])
-                for (x, y), prod in A.mult.items()]
+    products = [(x, y, list(prod.items())) for (x, y), prod in A.mult.items()]
 
     def finish(ents, n):
         """d_n from b'_n: add the wrap face, e_x e_y = sum c_k e_k for

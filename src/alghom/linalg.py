@@ -6,15 +6,16 @@ this module is the only place elimination happens.  All arithmetic is
 exact; there are no tolerances anywhere.  The rationals are
 fractions.Fraction (Q below).
 
-Entry-type contract: a Matrix entry is a nonzero Python int or a
-nonzero Q, never a float or a bool.  Integral data (every differential
-built from integral structure constants) stays in ints, which are much
-cheaper than Q; the constructor keeps ints and coerces everything else
-through Q.  Sums and products of ints stay ints.  _echelon eliminates
-fraction-free over the integers, where a row is only ever divided
-exactly, by its content; the only other division of entries is its
-read-out of a reduced form, which divides each pivot row by its pivot:
-an entry stays an int when that division is exact and becomes
+Entry-type contract: a Matrix entry or an Algebra structure constant is
+a nonzero Python int or a nonzero Q, never a float or a bool.  Integral
+data (integral structure constants and every differential built from
+them) stays in ints, which are much cheaper than Q; Matrix keeps ints
+and coerces everything else through Q, and Algebra stores an integral
+constant as an int.  Sums and products of ints stay ints.  _echelon
+eliminates fraction-free over the integers, where a row is only ever
+divided exactly, by its content; the only other division of entries is
+its read-out of a reduced form, which divides each pivot row by its
+pivot: an entry stays an int when that division is exact and becomes
 Q(w, pivot) otherwise, so two ints are never divided into a float.
 Every value equals the one the same operations give over Q alone.
 
@@ -353,7 +354,7 @@ def _shared_rref(M: Matrix, key: str, rows, ncols: int):
     of its columns.  The RREF of a transpose's rows is the RREF of its
     source's columns and the other way round, so a transpose reads and
     writes its source's cache under the swapped key, and whichever side
-    eliminates first serves both."""
+    eliminates first serves both.  Either side records "rank" with it."""
     got = M._cache.get(key)
     if got is None:
         source = M._cache.get("transpose_of")
@@ -362,9 +363,9 @@ def _shared_rref(M: Matrix, key: str, rows, ncols: int):
             got = source._cache.get(swapped)
         if got is None:
             got = _echelon(rows(), ncols, reduce=True)
-        M._cache[key] = got
+        M._cache[key], M._cache["rank"] = got, len(got[0])
         if source is not None:
-            source._cache[swapped] = got
+            source._cache[swapped], source._cache["rank"] = got, len(got[0])
     return got
 
 
@@ -382,20 +383,20 @@ def _rref(M: Matrix):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim given by a full-column-rank basis.
+    """A subspace of Q^ambient_dim given by a full-column-rank basis in
+    canonical echelon position.
 
-    When the basis is in canonical echelon position, coordinate_rows
-    lists one row index per basis column at which that column is 1 and
-    all other columns vanish; coordinates of a member vector can then be
-    read off directly, in time proportional to the vector's nonzeros
-    (through a {row: basis index} map built once per subspace).  The
-    read-off is always followed by the membership check basis @ x == vec,
-    so a vector outside the subspace still gets None.
+    coordinate_rows lists one row index per basis column at which that
+    column is 1 and all other columns vanish, so coordinates of a member
+    vector are read off directly, in time proportional to the vector's
+    nonzeros (through a {row: basis index} map built once per subspace).
+    The read-off is always followed by the membership check
+    basis @ x == vec, so a vector outside the subspace still gets None.
     """
 
     ambient_dim: int
     basis: Matrix
-    coordinate_rows: tuple | None = None
+    coordinate_rows: tuple
 
     @property
     def dim(self) -> int:
@@ -404,18 +405,13 @@ class Subspace:
     def coords(self, vec: dict):
         """Coordinates of a sparse vector in the basis, or None if the
         vector is outside the subspace."""
-        if self.coordinate_rows is not None:
-            index = self._row_index
-            x = dict(sorted((index[r], v) for r, v in vec.items()
-                            if v and r in index))
-            # membership check: basis @ x must reproduce vec exactly
-            if self.basis.apply_dict(x) != {r: v for r, v in vec.items() if v}:
-                return None
-            return x
-        sol = solve_many(self.basis, Matrix.from_columns(self.ambient_dim, [vec]))
-        if sol is None:
+        index = self._row_index
+        x = dict(sorted((index[r], v) for r, v in vec.items()
+                        if v and r in index))
+        # membership check: basis @ x must reproduce vec exactly
+        if self.basis.apply_dict(x) != {r: v for r, v in vec.items() if v}:
             return None
-        return sol.column(0)
+        return x
 
     @cached_property
     def _row_index(self) -> dict:
@@ -442,16 +438,22 @@ class Cokernel:
 # -- the public operations -------------------------------------------
 
 
+def pivot_columns(M: Matrix):
+    """Columns of M that successively increase the rank: the pivot
+    columns of the row echelon form, under the deterministic pivot rule."""
+    pivots, _ = _echelon(M.row_dicts(), M.cols, reduce=False)
+    return [c for c, _ in pivots]
+
+
 def rank(M: Matrix) -> int:
+    """The "rank" recorded on M or its transpose source, else by pivots."""
     got = M._cache.get("rank")
     if got is None:
-        if "rref" in M._cache:
-            got = len(M._cache["rref"][0])
-        elif "rref_t" in M._cache:
-            got = len(M._cache["rref_t"][0])
-        else:
-            pivots, _ = _echelon(M.row_dicts(), M.cols, reduce=False)
-            got = len(pivots)
+        source = M._cache.get("transpose_of")
+        if source is not None:
+            got = source._cache.get("rank")
+        if got is None:
+            got = len(pivot_columns(M))
         M._cache["rank"] = got
     return got
 
@@ -470,7 +472,6 @@ def kernel_basis(M: Matrix) -> Subspace:
             k = free_index.get(f)
             if k is not None:
                 columns[k][pc] = -w
-    M._cache.setdefault("rank", len(pivots))
     return Subspace(M.cols, Matrix.from_columns(M.cols, columns),
                     coordinate_rows=tuple(free_cols))
 
@@ -479,34 +480,18 @@ def image_basis(M: Matrix) -> Subspace:
     """Echelon-deterministic basis of the column space."""
     pivots, _ = _rref_of_transpose(M)
     columns = [dict(row) for _, row in pivots]
-    M._cache.setdefault("rank", len(pivots))
     return Subspace(M.rows, Matrix.from_columns(M.rows, columns),
                     coordinate_rows=tuple(c for c, _ in pivots))
 
 
 def cokernel(M: Matrix) -> Cokernel:
-    """Projection of the target of M onto a complement of Im M.
-
-    The quotient is coordinatized by the non-pivot rows of the echelon
-    form of the column space; the section embeds those coordinates back.
-    """
-    pivots, _ = _rref_of_transpose(M)
-    pivot_set = {c for c, _ in pivots}
-    free_coords = [q for q in range(M.rows) if q not in pivot_set]
-    free_index = {q: qi for qi, q in enumerate(free_coords)}
-    ents = {(qi, q): 1 for qi, q in enumerate(free_coords)}
-    # one pass over the nonzeros of the RREF: entry w of pivot row pc in
-    # free coordinate q puts -w at (index of q, pc) in the projection
-    for pc, row in pivots:
-        for q, w in row.items():
-            qi = free_index.get(q)
-            if qi is not None:
-                ents[(qi, pc)] = -w
-    projection = Matrix(len(free_coords), M.rows, ents)
-    section = Matrix(M.rows, len(free_coords),
-                     {(q, qi): 1 for qi, q in enumerate(free_coords)})
-    M._cache.setdefault("rank", len(pivots))
-    return Cokernel(projection, len(free_coords), section)
+    """Projection of the target of M onto a complement of Im M: the
+    kernel basis of M's transpose, transposed.  The section embeds its
+    coordinate rows (the non-pivot rows of the column space) back."""
+    ker = kernel_basis(M.transpose())
+    section = Matrix(M.rows, ker.dim,
+                     {(q, qi): 1 for qi, q in enumerate(ker.coordinate_rows)})
+    return Cokernel(ker.basis.transpose(), ker.dim, section)
 
 
 def solve(M: Matrix, b, free_value=0):

@@ -2,7 +2,8 @@
 short exact sequences, snake-lemma checks on them, the
 homology/cohomology window implications for injective chain maps,
 Kronecker products and the kernel span lemma they check, the probing
-kernel basis oracle, elimination over Q as the oracle for the
+kernel basis oracle, coordinates by a solve as the oracle for the
+read-off of Subspace.coords, elimination over Q as the oracle for the
 fraction-free elimination, and fixed changes of basis for extensions."""
 
 import random
@@ -129,6 +130,13 @@ def kernel_basis_by_probing(M: Matrix) -> Subspace:
         columns.append(col)
     return Subspace(M.cols, Matrix.from_columns(M.cols, columns),
                     coordinate_rows=tuple(free_cols))
+
+
+def coords_by_solve(sub: Subspace, vec: dict):
+    """Coordinates of vec in the basis of sub by one solve, or None when
+    vec is outside sub; the oracle for the read-off of Subspace.coords."""
+    sol = solve_many(sub.basis, Matrix.from_columns(sub.ambient_dim, [vec]))
+    return None if sol is None else sol.column(0)
 
 
 def echelon_over_q(row_dicts, ncols, *, reduce=True, pivot_limit=None):

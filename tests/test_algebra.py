@@ -45,6 +45,26 @@ def test_associativity_with_rational_constants():
         assert v["left"] != v["right"]
 
 
+def test_structure_constants_are_int_when_integral():
+    """Entry-type contract: an integral constant is stored as an int,
+    whatever type it came in, and any other as a Q; products of an
+    integral algebra stay in ints."""
+    alg = Algebra(2, None, {(0, 0): {0: Q(2), 1: "3"}, (0, 1): {1: Q(1, 2)},
+                            (1, 0): {0: 1, 1: Q(0)}, (1, 1): {1: Q(4, 2)}})
+    assert alg.mult == {(0, 0): {0: 2, 1: 3}, (0, 1): {1: Q(1, 2)},
+                        (1, 0): {0: 1}, (1, 1): {1: 2}}
+    assert {(key, k): type(v) for key, comp in alg.mult.items()
+            for k, v in comp.items()} == {
+        ((0, 0), 0): int, ((0, 0), 1): int, ((0, 1), 1): Q,
+        ((1, 0), 0): int, ((1, 1), 1): int}
+    square = alg.product({0: 1, 1: 1}, {0: 1})
+    assert square == {0: 3, 1: 3}
+    assert all(type(v) is int for v in square.values())
+    for A in ALL_PRESETS:
+        assert all(type(v) is int for comp in A.mult.values()
+                   for v in comp.values())
+
+
 def test_corrupted_structure_constant_detected():
     # break associativity in the 2x2 matrix algebra
     A = preset("matrix", k=2)

@@ -298,3 +298,39 @@ def test_bad_preset_descriptor_is_parse_error(capsys, tmp_path, command,
     # the reason follows the echoed descriptor
     reason = err.rsplit("}: ", 1)[-1]
     assert ("'%s'" % param if bad.get("preset") else param) in reason
+
+
+@pytest.mark.parametrize("command", ["validate", "homology", "trace",
+                                     "excision"])
+@pytest.mark.parametrize("mult", [None, 7, {"0": []}],
+                         ids=["null", "number", "object"])
+@pytest.mark.parametrize("where", ["algebra", "extension-B"])
+def test_non_list_mult_is_parse_error(capsys, tmp_path, command, mult, where):
+    """A "mult" that is not a list exits 2 with one line naming mult,
+    alone or as the B of an extension, never a traceback."""
+    bad = {"dim": 0 if where == "extension-B" else 1, "mult": mult}
+    doc = bad
+    if where == "extension-B":
+        doc = {"B": bad, "A": {"preset": "field"}, "D": {"preset": "field"},
+               "i": [[]], "j": [["1"]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: mult must be a list")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "homology", "trace",
+                                     "excision"])
+def test_non_utf8_file_is_parse_error(capsys, tmp_path, command):
+    """A file that is not UTF-8 text exits 2 with one line naming it."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dim": 1, "basis": ["\u00e9"], "mult": []}'
+                     .encode("latin-1"))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: %s: not UTF-8 text" % path)
+    assert len(err.strip().splitlines()) == 1

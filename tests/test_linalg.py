@@ -5,6 +5,7 @@ matrices; structural properties (RREF canonicity, solver correctness)
 are hypothesis properties.
 """
 
+import os
 import random
 
 import pytest
@@ -18,15 +19,15 @@ from alghom.excision import excision_report
 from alghom.hochschild import bar_complex, cyclic_complex, hochschild_complex
 from alghom import linalg
 from alghom.linalg import (
-    CompositionNotZero, Matrix, ONE, Q, Subspace, ZERO, _echelon,
+    CompositionNotZero, Matrix, ONE, Q, ZERO, _echelon,
     _rref_of_transpose,
     cokernel, exactness_defect, format_q, hstack, image_basis, kernel_basis,
     parse_q, rank, solve, solve_many,
 )
 
 from support import (
-    BASIS_CHANGE_DET_4, echelon_over_q, kernel_basis_by_probing, kron,
-    kron_power, rebased,
+    BASIS_CHANGE_DET_4, coords_by_solve, echelon_over_q,
+    kernel_basis_by_probing, kron, kron_power, rebased,
 )
 
 
@@ -223,15 +224,14 @@ def is_member(sub, vec):
 def test_coords_read_off_agrees_with_solve(M, seed):
     rng = random.Random(seed)
     for sub in subspaces_of(M):
-        solved = Subspace(sub.ambient_dim, sub.basis, coordinate_rows=None)
         for _ in range(3):
             vec = random_combination(sub, rng)
-            assert sub.coords(vec) == solved.coords(vec)
+            assert sub.coords(vec) == coords_by_solve(sub, vec)
             # explicit zeros change nothing for a member
             padded = dict(vec)
             for r in range(sub.ambient_dim):
                 padded.setdefault(r, ZERO)
-            assert sub.coords(padded) == solved.coords(vec)
+            assert sub.coords(padded) == coords_by_solve(sub, vec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,3 +474,30 @@ def test_fraction_free_echelon_matches_the_q_oracle(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_echelon", echelon_over_q)
             assert got == outputs()
+
+
+def test_elimination_happens_only_in_linalg():
+    """No alghom module but linalg names _echelon, so patching
+    linalg._echelon sees every elimination."""
+    package = os.path.dirname(linalg.__file__)
+    users = sorted(name for name in os.listdir(package)
+                   if name.endswith(".py") and name != "linalg.py"
+                   and "_echelon" in open(os.path.join(package, name)).read())
+    assert users == []
+
+
+@pytest.mark.parametrize("reduce_source", [kernel_basis, image_basis, cokernel],
+                         ids=["kernel", "image", "cokernel"])
+def test_rank_of_a_reduced_matrix_or_its_transpose_eliminates_nothing(
+        reduce_source, monkeypatch):
+    """The RREF that a basis was read off records the rank, and a
+    transpose made before or after the reduction reads its source's."""
+    M = Matrix.from_dense([[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]])
+    early = M.transpose()
+    reduce_source(M)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rank eliminated again")
+
+    monkeypatch.setattr(linalg, "_echelon", forbidden)
+    assert (rank(M), rank(early), rank(M.transpose())) == (2, 2, 2)
