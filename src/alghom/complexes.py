@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (
-    Matrix, Subspace, hstack,
+    Matrix, Subspace, hstack, exactness_defect,
     format_q, image_basis, kernel_basis, pivot_columns, rank, solve_many,
 )
 
@@ -33,8 +33,9 @@ class NotAComplex(Exception):
 
 
 class LiftFailure(Exception):
-    """A zig-zag lift had no solution; the short exact sequence
-    invariants must be broken."""
+    """A zig-zag step failed: a lift read off the splitting is not a
+    preimage, a pulled-back chain is not a cycle, or two lifts disagree.
+    A valid short exact sequence split by coordinates never raises it."""
 
 
 class ChainComplex:
@@ -243,6 +244,12 @@ def check_quasi_isomorphism(induced_maps):
 
 @dataclass(frozen=True)
 class ShortExactSequenceOfComplexes:
+    """0 -> K -> P -> L -> 0, split by coordinates: in each degree inj is
+    a 0/1 coordinate inclusion and surj the projection onto the
+    complementary coordinates.  connecting_homomorphism reads its lifts
+    off that splitting and checks each one is a preimage, so a sequence
+    split otherwise raises LiftFailure rather than giving a wrong map."""
+
     K: ChainComplex
     P: ChainComplex
     L: ChainComplex
@@ -268,31 +275,39 @@ def check_ses(ses: ShortExactSequenceOfComplexes):
             return (n, "surj not surjective")
         if not (g @ f).is_zero():
             return (n, "surj o inj != 0")
-        if g.cols - rank(g) != rank(f):
+        if exactness_defect(f, g):
             return (n, "Im inj != Ker surj")
     return None
 
 
 def connecting_homomorphism(ses: ShortExactSequenceOfComplexes, n: int) -> Matrix:
     """The snake-lemma connecting map H_n(L) -> H_{n-1}(K) by the
-    classic zig-zag.  Independence of the lift choices is verified by
-    recomputing with free variables set to 1 instead of 0."""
+    classic zig-zag, read off the coordinate splitting: surj^T lifts the
+    cycles of L to P and inj^T pulls their boundaries back to K, each
+    checked to be a preimage.  Independence of the lift choice is
+    verified by recomputing from the lift moved by inj(J), J the
+    all-ones chains of K, which moves the pulled-back chains by d_K(J)."""
     if n < 1:
         raise ValueError("connecting map needs degree >= 1")
     hl = homology_at(ses.L, n)
     hk = homology_at(ses.K, n - 1)
+    reps = hl.rep_basis
+    if reps.cols == 0:
+        return Matrix.zero(hk.dim, 0)
+    surj = ses.surj.components[n]
+    lift = surj.transpose() @ reps
+    if surj @ lift != reps:
+        raise LiftFailure("lift surj^T of the cycles of L in degree %d is "
+                          "not a preimage" % n)
+    inj = ses.inj.components[n - 1]
+    ones = Matrix(ses.K.dims[n], reps.cols,
+                  {(r, c): 1 for r in range(ses.K.dims[n])
+                   for c in range(reps.cols)})
     results = []
-    for free_value in (0, 1):
-        reps = hl.rep_basis
-        if reps.cols == 0:
-            results.append(Matrix.zero(hk.dim, 0))
-            continue
-        lifts = solve_many(ses.surj.components[n], reps, free_value=free_value)
-        if lifts is None:
-            raise LiftFailure("cycle of L in degree %d has no preimage" % n)
-        dp = ses.P.diffs[n - 1] @ lifts
-        pulled = solve_many(ses.inj.components[n - 1], dp, free_value=free_value)
-        if pulled is None:
+    for chain in (lift, lift + ses.inj.components[n] @ ones):
+        dp = ses.P.diffs[n - 1] @ chain
+        pulled = inj.transpose() @ dp
+        if inj @ pulled != dp:
             raise LiftFailure("boundary of lift not in the image of inj "
                               "in degree %d" % (n - 1))
         coords = hk.class_coords(pulled)
@@ -334,15 +349,9 @@ class LongSequence:
 def _node_defect(incoming: Matrix | None, outgoing: Matrix | None, dim: int):
     """(defect, composition_zero) at a node; incoming/outgoing None means
     the adjacent map is genuinely zero (sequence end)."""
-    rk_in = rank(incoming) if incoming is not None else 0
-    if outgoing is not None:
-        ker_out = outgoing.cols - rank(outgoing)
-    else:
-        ker_out = dim
-    comp_zero = True
-    if incoming is not None and outgoing is not None:
-        comp_zero = (outgoing @ incoming).is_zero()
-    return ker_out - rk_in, comp_zero
+    f = Matrix.zero(dim, 0) if incoming is None else incoming
+    g = Matrix.zero(0, dim) if outgoing is None else outgoing
+    return exactness_defect(f, g), (g @ f).is_zero()
 
 
 def assemble_sequence(entries, maps, *, genuine_top: bool, genuine_bottom: bool,
@@ -381,10 +390,12 @@ def long_exact_sequence(ses: ShortExactSequenceOfComplexes,
     incoming map and is reported without a defect unless the sequence
     genuinely ends there.
 
-    Precondition: ses is valid (check_ses(ses) is None).  Like
-    connecting_homomorphism, this does not re-verify it: its producer
-    establishes it (the read-off of hochschild builds a valid SES, its
-    closure checks covering the input-dependent part).
+    Precondition: ses is valid (check_ses(ses) is None) and split by
+    coordinates (ShortExactSequenceOfComplexes).  This does not
+    re-verify validity: its producer establishes it (the read-off of
+    hochschild builds a valid SES, its closure checks covering the
+    input-dependent part).  The splitting is enforced where the
+    connecting maps use it, by their two preimage checks.
     For a valid SES all interior defects are zero (the snake lemma);
     defects are computed, not assumed."""
     entries = []

@@ -69,15 +69,21 @@ def algebra_from_obj(obj) -> Algebra:
             raise ParseError("mult entries must be [i, j, {k: rational}], "
                              "got %r" % (entry,))
         i, j, coeffs = entry
-        if not (isinstance(i, int) and isinstance(j, int)
-                and 0 <= i < dim and 0 <= j < dim):
+        if type(i) is not int or type(j) is not int:
+            raise ParseError("mult indices must be integers in %r" % (entry,))
+        if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError("mult indices out of range in %r" % (entry,))
         prod = {}
         for k, c in coeffs.items():
             try:
                 ki = int(k)
             except ValueError:
-                raise ParseError("mult target index %r is not an integer" % (k,))
+                ki = None
+            # only the decimal algebra_to_obj writes: no space, "+", "_",
+            # leading zero or non-ASCII digit
+            if ki is None or str(ki) != k:
+                raise ParseError("mult target index %r is not a canonical "
+                                 "decimal integer" % (k,))
             if not 0 <= ki < dim:
                 raise ParseError("mult target index %d out of range" % ki)
             q = _parse_rational(c, "mult[%d,%d]" % (i, j))

@@ -41,10 +41,6 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-class CompositionNotZero(Exception):
-    """The candidate pair of maps does not even form a complex."""
-
-
 def format_q(x) -> str:
     """Render a rational as 'p' or 'p/q' (never a float)."""
     x = Q(x)
@@ -54,8 +50,11 @@ def format_q(x) -> str:
 
 
 def parse_q(s):
-    """Parse 'p' or 'p/q' into an exact rational."""
+    """Parse 'p' or 'p/q' into an exact rational: ASCII digits, no
+    underscores (every string format_q emits parses back)."""
     s = str(s).strip()
+    if "_" in s or not s.isascii():
+        raise ValueError("not ASCII digits without underscores")
     if "/" in s:
         num, den = s.split("/")
         return Q(int(num), int(den))
@@ -453,7 +452,7 @@ def rank(M: Matrix) -> int:
         if source is not None:
             got = source._cache.get("rank")
         if got is None:
-            got = len(pivot_columns(M))
+            got = len(pivot_columns(M)) if M.entries else 0
         M._cache["rank"] = got
     return got
 
@@ -494,62 +493,43 @@ def cokernel(M: Matrix) -> Cokernel:
     return Cokernel(ker.basis.transpose(), ker.dim, section)
 
 
-def solve(M: Matrix, b, free_value=0):
+def solve(M: Matrix, b):
     """One solution of Mx = b (dense vector), or None when b is outside
-    the image.  Free variables are set to free_value (default 0) under
-    leftmost-pivot elimination, which makes the selection deterministic.
-    """
+    the image; see solve_many."""
     if len(b) != M.rows:
         raise ValueError("right-hand side length mismatch")
     col = {i: Q(v) for i, v in enumerate(b) if Q(v)}
-    sol = solve_many(M, Matrix.from_columns(M.rows, [col]), free_value=free_value)
+    sol = solve_many(M, Matrix.from_columns(M.rows, [col]))
     if sol is None:
         return None
     c = sol.column(0)
     return [c.get(i, ZERO) for i in range(M.cols)]
 
-def solve_many(M: Matrix, B: Matrix, free_value=0):
+
+def solve_many(M: Matrix, B: Matrix):
     """Solve MX = B for all columns of B at once, or None if any column
-    is inconsistent.  Same deterministic free-variable convention as
-    solve()."""
+    is inconsistent.  Free variables are 0 under leftmost-pivot
+    elimination, which makes the selection deterministic: X is read off
+    the augmented entries of the pivot rows of the reduced system."""
     if B.rows != M.rows:
         raise ValueError("right-hand side row count mismatch")
-    fv = Q(free_value)
     n = M.cols
     rows = M.row_dicts()
     for (r, c), v in B.entries.items():
         rows[r][n + c] = v
     pivots, leftover = _echelon(rows, n + B.cols, reduce=True, pivot_limit=n)
-    for row in leftover:
-        # a surviving row supported only on augmented columns witnesses
-        # inconsistency of the corresponding right-hand sides
-        if any(c >= n and v for c, v in row.items()):
-            return None
-    pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    out = {}
-    for k in range(B.cols):
-        for pc, row in pivots:
-            val = row.get(n + k, 0)
-            if fv:
-                for f in free_cols:
-                    w = row.get(f)
-                    if w:
-                        val -= fv * w
-            if val:
-                out[(pc, k)] = val
-        if fv:
-            for f in free_cols:
-                out[(f, k)] = fv
-    return Matrix(n, B.cols, out)
+    if leftover:
+        # a surviving row is supported only on augmented columns and
+        # witnesses inconsistency of the corresponding right-hand sides
+        return None
+    return Matrix(n, B.cols, {(pc, c - n): v for pc, row in pivots
+                              for c, v in row.items() if c >= n})
 
 
 def exactness_defect(f: Matrix, g: Matrix) -> int:
-    """dim Ker g - rank f for a composable pair with g(f(x)) = 0; zero
-    exactly when the pair is exact at the middle space."""
+    """dim Ker g - rank f for a composable pair; when g(f(x)) = 0 it is
+    zero exactly when the pair is exact at the middle space.  Whether
+    the composition vanishes is the caller's question."""
     if g.cols != f.rows:
         raise ValueError("maps are not composable")
-    comp = g @ f
-    if not comp.is_zero():
-        raise CompositionNotZero("g o f != 0; the pair is not a complex")
     return (g.cols - rank(g)) - rank(f)

@@ -7,6 +7,7 @@ from alghom.algebra import (
     preset, quotient_extension, unit_witness, validate_algebra,
     validate_extension, validate_hom,
 )
+from alghom import algebra, linalg
 from alghom.corpus import CORPUS, build
 from alghom.linalg import Matrix, ONE, Q
 
@@ -129,6 +130,30 @@ def test_validate_extension_rejects_broken_maps():
     wrong_i = AlgebraHom(ext.B, ext.A, Matrix.zero(ext.A.dim, ext.B.dim))
     bad = Extension(ext.B, ext.A, ext.D, wrong_i, ext.j)
     assert validate_extension(bad) is not None
+
+
+def test_validate_extension_im_i_is_ker_j():
+    """j = [1, 0] on split_product is multiplicative and onto, and i is
+    injective, but j kills the complement of i(B) instead of i(B)."""
+    ext = build("split_product")
+    j = AlgebraHom(ext.A, ext.D, Matrix.from_dense([[1, 0]]))
+    assert validate_extension(Extension(ext.B, ext.A, ext.D, ext.i, j)) == {
+        "invariant": "Im i = Ker j", "detail": "Im i not in Ker j"}
+
+
+def test_validate_extension_builds_no_bases(monkeypatch):
+    """Im i = Ker j is decided by ranks and j i = 0, with no kernel or
+    image basis."""
+    exts = [build(name) for name in sorted(CORPUS)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate_extension built a basis")
+
+    for module in (linalg, algebra):
+        for name in ("kernel_basis", "image_basis"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for ext in exts:
+        assert validate_extension(ext) is None
 
 
 def test_validate_extension_checks_associativity():

@@ -334,3 +334,19 @@ def test_non_utf8_file_is_parse_error(capsys, tmp_path, command):
     assert out == ""
     assert err.startswith("parse error: %s: not UTF-8 text" % path)
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("mult", [
+    [[True, 0, {"1": "1"}]], [[0, 0, {"1_0": "1"}]],
+    [[0, 0, {"1": "1", "01": "2"}]], [[0, 0, {"1": "1_000"}]]],
+    ids=["bool-index", "underscore-key", "two-spellings", "underscore-q"])
+def test_lenient_index_or_rational_is_parse_error(capsys, tmp_path, mult):
+    """Indices and rationals that algebra_to_obj would never write exit
+    2 with one line, instead of being read as some other algebra."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 11, "mult": mult}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: mult")
+    assert len(err.strip().splitlines()) == 1

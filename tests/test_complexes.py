@@ -10,8 +10,8 @@ from alghom import complexes, linalg
 from alghom.algebra import preset
 from alghom.hochschild import hochschild_complex
 from alghom.complexes import (
-    ChainComplex, ChainMap, LiftFailure, NotAComplex,
-    WellDefinednessViolation,
+    ChainComplex, ChainMap, DegreeHomology, LiftFailure, NotAComplex,
+    ShortExactSequenceOfComplexes, WellDefinednessViolation,
     assemble_sequence, check_chain_map, check_complex, check_ses,
     cohomology_dims, connecting_homomorphism, dualize, dualize_map,
     homology_at, homology_dims, induced_map_on_homology,
@@ -189,6 +189,103 @@ def test_interior_exact_needs_zero_compositions():
 @given(seeds)
 def test_snake_lemma_property(seed):
     assert snake_check(seed)
+
+
+def _first_connecting_degree(ses):
+    """The lowest degree n >= 1 below the top at which H_n(L) != 0."""
+    return next(n for n in range(1, ses.P.top_degree)
+                if homology_at(ses.L, n).dim)
+
+
+def test_lift_failure_when_surj_is_not_a_coordinate_projection():
+    """2 surj still makes a valid short exact sequence, but surj^T no
+    longer lifts the cycles of L, and the lift check says so."""
+    ses = random_ses(3)
+    doubled = ChainMap(ses.P, ses.L, [m.scale(2) for m in ses.surj.components])
+    bent = ShortExactSequenceOfComplexes(ses.K, ses.P, ses.L, ses.inj, doubled)
+    assert check_ses(bent) is None
+    with pytest.raises(LiftFailure, match="lift surj"):
+        connecting_homomorphism(bent, _first_connecting_degree(ses))
+
+
+def test_lift_failure_when_surj_is_not_a_chain_map():
+    """A P differential with an extra L-to-L block breaks d_L surj =
+    surj d_P, so the boundary of a lift leaves the image of inj."""
+    ses = random_ses(3)
+    n = _first_connecting_degree(ses)
+    reps = homology_at(ses.L, n).rep_basis
+    surj_lo, surj_hi = ses.surj.components[n - 1], ses.surj.components[n]
+    # x reps != 0: x's first row is the first representative
+    x = Matrix(surj_lo.rows, surj_hi.rows,
+               {(0, r): v for (r, c), v in reps.entries.items() if c == 0})
+    diffs = list(ses.P.diffs)
+    diffs[n - 1] = diffs[n - 1] + surj_lo.transpose() @ x @ surj_hi
+    P = ChainComplex(ses.P.dims, diffs)
+    broken = ShortExactSequenceOfComplexes(
+        ses.K, P, ses.L, ChainMap(ses.K, P, ses.inj.components),
+        ChainMap(P, ses.L, ses.surj.components))
+    assert check_chain_map(broken.surj) == n - 1
+    with pytest.raises(LiftFailure, match="image of inj"):
+        connecting_homomorphism(broken, n)
+
+
+def _record_zigzag(monkeypatch, ses, n):
+    """(solve_many calls, chains given to class_coords) of one
+    connecting map, with the homology it reads computed beforehand."""
+    homology_at(ses.L, n)
+    homology_at(ses.K, n - 1)
+    solves, pulled = [], []
+    real_solve, real_coords = complexes.solve_many, DegreeHomology.class_coords
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    def recorded(self, vecs):
+        pulled.append(vecs)
+        return real_coords(self, vecs)
+
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "solve_many", counted)
+        m.setattr(DegreeHomology, "class_coords", recorded)
+        connecting_homomorphism(ses, n)
+    return solves, pulled
+
+
+def test_connecting_map_solves_only_for_classes(monkeypatch):
+    """Lifts and pullbacks are read off the splitting: the only solves
+    are the two class_coords calls of the two lifts, and a map from
+    H_n(L) = 0 solves nothing."""
+    seen = set()
+    for seed in range(12):
+        ses = random_ses(seed)
+        for n in range(1, ses.P.top_degree):
+            solves, pulled = _record_zigzag(monkeypatch, ses, n)
+            has_homology = homology_at(ses.L, n).dim > 0
+            assert (len(solves), len(pulled)) == ((2, 2) if has_homology
+                                                  else (0, 0))
+            seen.add(has_homology)
+    assert seen == {True, False}
+
+
+def test_second_lift_moves_the_pullback_by_d_of_ones(monkeypatch):
+    """The second lift is the first plus inj(J), J all ones, so the two
+    pulled-back chains differ by exactly d_K(J); nonzero somewhere."""
+    moved = 0
+    for seed in range(12):
+        ses = random_ses(seed)
+        for n in range(1, ses.P.top_degree):
+            cols = homology_at(ses.L, n).dim
+            if not cols:
+                continue
+            _, (first, second) = _record_zigzag(monkeypatch, ses, n)
+            ones = Matrix(ses.K.dims[n], cols,
+                          {(r, c): 1 for r in range(ses.K.dims[n])
+                           for c in range(cols)})
+            d_ones = ses.K.diffs[n - 1] @ ones
+            assert second - first == d_ones
+            moved += not d_ones.is_zero()
+    assert moved
 
 
 @settings(max_examples=40, deadline=None)

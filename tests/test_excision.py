@@ -152,19 +152,39 @@ def _group_dims(r, name, group):
             if nd["group"] == group]
 
 
-@pytest.mark.parametrize("ideal", [[0, 1, 2, 3], [4]], ids=["M2", "Q"])
-def test_cstar_direct_sum_oracle(ideal):
-    """A = M_2(Q) x Q, the rational analogue of a finite-dimensional
-    C*-algebra with r = 2 simple summands.  Either summand is an ideal
-    with a unit, so excision holds and B is H-unital; and A has the
-    closed forms HH = [r, 0, 0], HC = [r, 0, r] and HR = 0 in homology
-    and in cohomology."""
-    A = preset("direct_sum", a=preset("matrix", k=2), b=preset("field"))
+# (left summand, right summand, report degree, the summand that is B)
+CSTAR_SUMS = [
+    pytest.param(("matrix", 2), ("field",), 2, "left", id="M2"),
+    pytest.param(("matrix", 2), ("field",), 2, "right", id="Q"),
+    pytest.param(("matrix", 3), ("field",), 1, "left", id="M3+Q-B=M3"),
+    pytest.param(("matrix", 3), ("field",), 1, "right", id="M3+Q-B=Q"),
+    pytest.param(("matrix", 2), ("matrix", 2), 2, "left", id="M2+M2-B=left"),
+    pytest.param(("matrix", 2), ("matrix", 2), 2, "right", id="M2+M2-B=right"),
+]
+
+
+def _summand(spec):
+    return preset("matrix", k=spec[1]) if spec[0] == "matrix" else preset("field")
+
+
+@pytest.mark.parametrize("left, right, n, b_side", CSTAR_SUMS)
+def test_cstar_direct_sum_oracle(left, right, n, b_side):
+    """A = L x R with simple summands M_k(Q) or Q, the rational analogue
+    of a finite-dimensional C*-algebra with r = 2 simple summands.
+    Either summand is an ideal with a unit, so excision holds and B is
+    H-unital; and A has the closed forms HH = [r, 0, ...], HC = r in even
+    and 0 in odd degrees, and HR = 0, in homology and in cohomology
+    (Morita invariance and additivity)."""
+    L, R = _summand(left), _summand(right)
+    A = preset("direct_sum", a=L, b=R)
+    ideal = range(L.dim) if b_side == "left" else range(L.dim, A.dim)
     basis = Matrix(A.dim, len(ideal), {(i, c): 1 for c, i in enumerate(ideal)})
-    r = excision_report(quotient_extension(A, basis), 2)
+    r = excision_report(quotient_extension(A, basis), n)
     assert r["verdict"] == "excision-exact"
-    assert r["hypothesis"]["bar_homology_B"] == [0, 0, 0]
-    closed = {"simplicial": [2, 0, 0], "cyclic": [2, 0, 2], "bar": [0, 0, 0]}
+    assert r["hypothesis"]["bar_homology_B"] == [0] * (n + 1)
+    closed = {"simplicial": [2] + [0] * n,
+              "cyclic": [2 * (1 - d % 2) for d in range(n + 1)],
+              "bar": [0] * (n + 1)}
     for theory in THEORIES:
         for side in ("homology", "cohomology"):
             name = "%s %s" % (theory, side)

@@ -64,10 +64,30 @@ def test_rational_strings_parsed_exactly():
     {"dim": 1, "mult": [[0, 0, {"0": "1"}], [0, 0, {"0": "2"}]]},  # dup
     {"preset": "no_such_preset"},
     [1, 2, 3],
+    {"dim": 2, "mult": [[True, 0, {"1": "1"}]]},          # bool index
+    {"dim": 2, "mult": [[0, False, {"1": "1"}]]},
+    # target keys that algebra_to_obj never writes
+    {"dim": 11, "mult": [[0, 0, {"1_0": "1"}]]},
+    {"dim": 2, "mult": [[0, 0, {" 1": "1"}]]},
+    {"dim": 2, "mult": [[0, 0, {"+1": "1"}]]},
+    {"dim": 2, "mult": [[0, 0, {"\u0661": "1"}]]},        # Arabic-Indic 1
+    {"dim": 2, "mult": [[0, 0, {"1": "1", "01": "2"}]]},   # one target twice
+    # rationals with an underscore or a non-ASCII digit
+    {"dim": 2, "mult": [[0, 0, {"1": "1_000"}]]},
+    {"dim": 2, "mult": [[0, 0, {"1": "\u0661/2"}]]},
 ])
 def test_malformed_algebra_objects(bad):
     with pytest.raises(ParseError):
         algebra_from_obj(bad)
+
+
+def test_every_formatted_rational_parses_back():
+    from alghom.linalg import Q, format_q, parse_q
+    for x in [Q(0), Q(7), Q(-7), Q(2, 3), Q(-10 ** 30, 7)]:
+        assert parse_q(format_q(x)) == x
+    obj = {"dim": 11, "mult": [[10, 0, {"10": "-3/4", "0": 5}]]}
+    assert algebra_to_obj(algebra_from_obj(obj))["mult"] == [
+        [10, 0, {"0": "5", "10": "-3/4"}]]
 
 
 def test_malformed_json_reports_position(tmp_path):
