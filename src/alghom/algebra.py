@@ -352,21 +352,16 @@ def quotient_extension(A: Algebra, ideal_basis: Matrix,
     B = Algebra(b_dim, names, bmult)
 
     cok = cokernel(ideal.basis)
-    d_dim = cok.dim
-    # D multiplies via lifts through the deterministic section
+    # D multiplies the unit vectors at its coordinate rows, and names
+    # its basis after them
     dmult = {}
-    for qi in range(d_dim):
-        x = cok.section.column(qi)
-        for qj in range(d_dim):
-            y = cok.section.column(qj)
-            prod = cok.projection.apply_dict(A.product(x, y))
+    for qi, x in enumerate(cok.rows):
+        for qj, y in enumerate(cok.rows):
+            prod = cok.projection.apply_dict(A.product_basis(x, y))
             if prod:
                 dmult[(qi, qj)] = prod
-    # section columns are single coordinate embeddings; name quotient
-    # basis vectors after the ambient coordinates they lift to
-    dnames = [A.basis_names[next(iter(cok.section.column(qi)))] + "~"
-              for qi in range(d_dim)]
-    D = Algebra(d_dim, dnames, dmult)
+    dnames = [A.basis_names[x] + "~" for x in cok.rows]
+    D = Algebra(cok.dim, dnames, dmult)
 
     i = AlgebraHom(B, A, ideal.basis)
     j = AlgebraHom(A, D, cok.projection)

@@ -223,7 +223,7 @@ def induced_map_on_homology(psi: ChainMap, n: int) -> Matrix:
     comp = psi.components[n]
     for col in src.boundary_basis.basis.column_dicts():
         img = comp.apply_dict(col)
-        if img and not tgt.boundary_basis.contains(img):
+        if img and tgt.boundary_basis.coords(img) is None:
             raise WellDefinednessViolation(
                 "boundary not sent to a boundary in degree %d" % n)
     coords = tgt.class_coords(comp @ src.rep_basis)
@@ -321,12 +321,13 @@ def connecting_homomorphism(ses: ShortExactSequenceOfComplexes, n: int) -> Matri
 
 @dataclass
 class SequenceNode:
-    label: str
+    # a node's report record: its fields, in the order __init__ sets them
     degree: int
+    group: str
     dim: int
-    defect: int | None      # None: not computable at this boundary node
-    boundary: bool          # excluded from pass/fail
-    composition_zero: bool = True
+    defect: int | None      # None: not computable at this cut node
+    in_window: bool         # counted in pass/fail
+    composition_zero: bool
 
 
 @dataclass
@@ -343,7 +344,7 @@ class LongSequence:
         """Exact at every node in the window: zero defect and a zero
         composition of the two adjacent maps."""
         return all(n.defect == 0 and n.composition_zero
-                   for n in self.nodes if not n.boundary)
+                   for n in self.nodes if n.in_window)
 
 
 def _node_defect(incoming: Matrix | None, outgoing: Matrix | None, dim: int):
@@ -358,16 +359,16 @@ def assemble_sequence(entries, maps, *, genuine_top: bool, genuine_bottom: bool,
                       window) -> LongSequence:
     """Generic defect computation for a candidate (long) sequence.
 
-    entries: list of (label, degree, dim) from the top end downwards;
+    entries: list of (group, degree, dim) from the top end downwards;
     maps: list of matrices between consecutive entries, with None for a
     map that could not be constructed.  genuine_top/bottom say whether
     the sequence really ends there (incoming/outgoing zero map), as
     opposed to being a truncation.  A node is cut, with no defect, when
-    it is a truncated end or an adjacent map is None; it is boundary
-    (excluded from pass/fail) when cut or outside the (lo, hi) window.
+    it is a truncated end or an adjacent map is None; it is in_window
+    (counted in pass/fail) unless cut or outside the (lo, hi) window.
     """
     nodes = []
-    for k, (label, degree, dim) in enumerate(entries):
+    for k, (group, degree, dim) in enumerate(entries):
         incoming = maps[k - 1] if k > 0 else None
         outgoing = maps[k] if k < len(maps) else None
         cut = ((k == 0 and not genuine_top)
@@ -376,8 +377,8 @@ def assemble_sequence(entries, maps, *, genuine_top: bool, genuine_bottom: bool,
                or (k < len(maps) and outgoing is None))
         defect, comp_zero = ((None, True) if cut
                              else _node_defect(incoming, outgoing, dim))
-        boundary = cut or not window[0] <= degree <= window[1]
-        nodes.append(SequenceNode(label, degree, dim, defect, boundary, comp_zero))
+        in_window = not cut and window[0] <= degree <= window[1]
+        nodes.append(SequenceNode(degree, group, dim, defect, in_window, comp_zero))
     return LongSequence(nodes, maps)
 
 

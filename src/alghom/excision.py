@@ -13,12 +13,14 @@ The report separates three layers that must not be conflated:
 Each theory has one complex of A in its adapted basis, C(A) for
 simplicial, bar C(A) for bar, and reads Ker, C(B), C(D) and their maps
 off it.  The cyclic theory does not build: its CC(A) is Connes' complex
-relabelled from the simplicial C(A) (hochschild.connes_complex), which
-excision_report takes from its simplicial theory.  Each theory induces
-its homology maps once: the candidate sequences reuse the snake
-sequences' maps and connecting maps, with H(B) reached through the
-comparison map, whose induced maps also give the quasi-isomorphism
-verdicts.  check_hlgy_cohlgy_equivalence, check_bar_invariance and
+relabelled from the simplicial C(A) (hochschild.connes_complex).  Each
+theory induces its homology maps once: the candidate sequences reuse
+the snake sequences' maps and connecting maps, with H(B) reached
+through the comparison map, whose induced maps also give the
+quasi-isomorphism verdicts.  excision_report reads each theory into its
+four sequence records, and drops it before the next one builds; every
+other number of the report is read off those records.
+check_hlgy_cohlgy_equivalence, check_bar_invariance and
 amenable_scenario_check are views of a report and build nothing.
 
 A finite-dimensional surrogate note is attached to every report: the
@@ -30,16 +32,14 @@ higher simplicial homology.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .algebra import Extension, unit_witness, validate_extension
 from .complexes import (
-    ChainComplex, ChainMap, LongSequence, ShortExactSequenceOfComplexes,
-    assemble_sequence, check_quasi_isomorphism, cohomology_dims, dualize,
-    dualize_map, homology_dims, induced_map_on_homology, long_exact_sequence,
+    LongSequence, assemble_sequence, check_quasi_isomorphism, dualize_map,
+    induced_map_on_homology, long_exact_sequence,
 )
 from .hochschild import (
-    adapted_extension, bar_complex, connes_complex,
+    TheoryData, adapted_extension, bar_complex, connes_complex,
     cyclic_kernel_subcomplex, hochschild_complex, kernel_subcomplex,
 )
 from .linalg import Matrix, format_q, rank, solve_many
@@ -64,54 +64,18 @@ def _require_valid(ext: Extension):
                          % json.dumps(bad, default=format_q))
 
 
-@dataclass
-class TheoryData:
-    """One homology theory's complexes and maps for an extension.  CA
-    is the complex of the adapted A (hochschild.adapted_extension); the
-    other complexes and the maps are coordinate pieces of it."""
-
-    name: str
-    CA: ChainComplex
-    CB: ChainComplex
-    CD: ChainComplex
-    sub: ChainComplex          # kernel subcomplex inside CA
-    incl: ChainMap             # sub -> CA
-    comp: ChainMap             # CB -> sub (the comparison map)
-    map_ad: ChainMap           # CA -> CD (degreewise surjective)
-
-    @property
-    def ses(self) -> ShortExactSequenceOfComplexes:
-        """Ker -> C(A) -> C(D), valid by the read-off's construction."""
-        return ShortExactSequenceOfComplexes(
-            self.sub, self.CA, self.CD, self.incl, self.map_ad)
-
-    def dual_ses(self) -> ShortExactSequenceOfComplexes:
-        return ShortExactSequenceOfComplexes(
-            dualize(self.CD), dualize(self.CA), dualize(self.sub),
-            dualize_map(self.map_ad), dualize_map(self.incl))
-
-
 def build_theory(ext: Extension, n_report: int, theory: str,
                  force: bool = False) -> TheoryData:
     """One of the three theories ('simplicial', 'bar', 'cyclic') for an
     adapted extension (hochschild.adapted_extension): builds C(A), the
-    bar complex for bar, and reads everything else off it by index."""
+    bar complex for bar, and reads the rest off it, or off CC(A)."""
     if theory not in THEORIES:
         raise ValueError("unknown theory %r" % theory)
     build = bar_complex if theory == "bar" else hochschild_complex
     CA = build(ext.A, n_report, force)
     if theory == "cyclic":
-        return cyclic_theory(ext, CA)
-    return TheoryData(theory, CA, *kernel_subcomplex(ext, CA))
-
-
-def cyclic_theory(ext: Extension, C_A: ChainComplex) -> TheoryData:
-    """The cyclic theory of an adapted extension from C_A, the
-    simplicial complex of its A: CC(A) is relabelled from C_A, and the
-    rest is read off CC(A) by index."""
-    cyclic_A = connes_complex(C_A)
-    return TheoryData("cyclic", cyclic_A[0],
-                      *cyclic_kernel_subcomplex(ext, cyclic_A))
+        return cyclic_kernel_subcomplex(ext, connes_complex(CA))
+    return kernel_subcomplex(ext, CA)
 
 
 def _factor_through(through: Matrix, target_map: Matrix):
@@ -178,26 +142,17 @@ def candidate_cohomology_sequence(snake: LongSequence, h_dual_comp) -> tuple:
 
 
 def _sequence_record(name: str, seq: LongSequence, conventions=None) -> dict:
-    nodes = []
-    for nd in seq.nodes:
-        nodes.append({
-            "degree": nd.degree,
-            "group": nd.label,
-            "dim": nd.dim,
-            "defect": nd.defect,
-            "in_window": not nd.boundary,
-            "composition_zero": nd.composition_zero,
-        })
-    rec = {"name": name, "nodes": nodes, "exact": seq.interior_exact}
+    rec = {"name": name, "nodes": [dict(vars(nd)) for nd in seq.nodes],
+           "exact": seq.interior_exact}
     if conventions is not None:
         rec["connecting_convention"] = {str(k): v for k, v in sorted(conventions.items())}
     return rec
 
 
-def _theory_records(td: TheoryData, n_report: int) -> tuple:
-    """The snake sequences of Ker -> C(A) -> C(D) and of its dual, the
-    two candidate sequences read off them, and the comparison verdicts.
-    H(comp) and H(dual comp) are induced once per degree 0..n_report."""
+def _theory_records(name: str, td: TheoryData, n_report: int) -> tuple:
+    """The two candidate sequences of theory name, the snake sequences of
+    Ker -> C(A) -> C(D) and of its dual they are read off, and the
+    comparison verdicts; H(comp) and H(dual comp) induced once a degree."""
     N = td.CA.top_degree
     hom = long_exact_sequence(td.ses, 0, n_report, labels=("Ker", "A", "D"))
     coh = long_exact_sequence(td.dual_ses(), N - n_report, N,
@@ -211,23 +166,24 @@ def _theory_records(td: TheoryData, n_report: int) -> tuple:
     h_dual_comp = [induced_map_on_homology(dual_comp, N - n)
                    for n in range(n_report + 1)]
     candidates = [
-        _sequence_record("%s homology" % td.name,
+        _sequence_record("%s homology" % name,
                          *candidate_homology_sequence(hom, h_comp)),
-        _sequence_record("%s cohomology" % td.name,
+        _sequence_record("%s cohomology" % name,
                          *candidate_cohomology_sequence(coh, h_dual_comp)),
     ]
     snakes = [
-        _sequence_record("%s homology (kernel subcomplex)" % td.name, hom),
-        _sequence_record("%s cohomology (kernel subcomplex)" % td.name, coh),
+        _sequence_record("%s homology (kernel subcomplex)" % name, hom),
+        _sequence_record("%s cohomology (kernel subcomplex)" % name, coh),
     ]
     return candidates, snakes, check_quasi_isomorphism(h_comp)
 
 
-def _betti_duality_ok(td: TheoryData, n_report: int) -> bool:
-    for K in (td.CB, td.CA, td.CD, td.sub):
-        if homology_dims(K, n_report) != cohomology_dims(K, n_report):
-            return False
-    return True
+def _betti_duality_ok(candidates, snakes) -> bool:
+    """dim H_n = dim H^n for n = 0..n_report of C(B), C(A), C(D) and
+    Ker, read off one theory's candidate and snake records."""
+    (hom, coh), (hom_ker, coh_ker) = candidates, snakes
+    return (all(_node_dims(hom, g) == _node_dims(coh, g) for g in "BAD")
+            and _node_dims(hom_ker, "Ker") == _node_dims(coh_ker, "Ker*"))
 
 
 def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> dict:
@@ -241,26 +197,26 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
     and the verdict says so."""
     _require_valid(ext)
     adapted = adapted_extension(ext)
-
-    sequences = []
-    snake_sequences = []
-    comparison = {}
-    betti_ok = True
-    for theory in THEORIES:
-        td = (cyclic_theory(adapted, C_A) if theory == "cyclic"
-              else build_theory(adapted, n_report, theory, force))
-        if theory == "simplicial":
-            C_A = td.CA
-        candidates, snakes, quasi_iso = _theory_records(td, n_report)
-        sequences.extend(candidates)
-        snake_sequences.extend(snakes)
-        comparison["%s_quasi_iso" % theory] = quasi_iso
-        betti_ok = betti_ok and _betti_duality_ok(td, n_report)
-        if theory == "bar":
-            # the vanishing of the bar homology of B is H-unitality
-            bar_b = homology_dims(td.CB, n_report)
-            hr_a = homology_dims(td.CA, n_report)
-            hr_d = homology_dims(td.CD, n_report)
+    # theories in the order simplicial, cyclic, bar, each dropped once
+    # read; the simplicial C(A) lives until CC(A) is relabelled from it
+    theory = build_theory(adapted, n_report, "simplicial", force)
+    read = {"simplicial": _theory_records("simplicial", theory, n_report)}
+    C_A = theory.CA
+    del theory
+    cyclic_A = connes_complex(C_A)
+    del C_A
+    read["cyclic"] = _theory_records(
+        "cyclic", cyclic_kernel_subcomplex(adapted, cyclic_A), n_report)
+    del cyclic_A
+    read["bar"] = _theory_records(
+        "bar", build_theory(adapted, n_report, "bar", force), n_report)
+    sequences = [rec for t in THEORIES for rec in read[t][0]]
+    snake_sequences = [rec for t in THEORIES for rec in read[t][1]]
+    comparison = {"%s_quasi_iso" % t: read[t][2] for t in THEORIES}
+    betti_ok = all(_betti_duality_ok(*read[t][:2]) for t in THEORIES)
+    # the vanishing of the bar homology of B is H-unitality
+    bar = _record(sequences, "bar homology")
+    bar_b, hr_a, hr_d = (_node_dims(bar, group) for group in "BAD")
 
     unit = unit_witness(ext.B)
     hypothesis_met = unit.found
@@ -332,9 +288,9 @@ def check_hlgy_cohlgy_equivalence(report: dict) -> dict:
             "verdict": verdict}
 
 
-def _record(report: dict, name: str) -> dict:
-    """The report's candidate sequence name ('simplicial homology', ...)."""
-    return next(r for r in report["sequences"] if r["name"] == name)
+def _record(records, name: str) -> dict:
+    """The record called name ('simplicial homology', ...)."""
+    return next(r for r in records if r["name"] == name)
 
 
 def _node_dims(record: dict, group: str) -> list:
@@ -348,7 +304,7 @@ def check_bar_invariance(report: dict) -> dict:
     hypothesis; reported informationally when the hypothesis is unmet.
     A view of an excision_report result: it computes nothing."""
     bar = report["bar_invariance"]
-    coh = _record(report, "bar cohomology")
+    coh = _record(report["sequences"], "bar cohomology")
     dual_a, dual_d = _node_dims(coh, "A"), _node_dims(coh, "D")
     equal = bar["equal"] and dual_a == dual_d
     return {
@@ -370,7 +326,7 @@ def amenable_scenario_check(report: dict) -> dict:
     else is read off the candidate sequences."""
     n_report = report["extension"]["n_report"]
     side = report["hypothesis"]["unit"]["side"]
-    hb = _node_dims(_record(report, "simplicial homology"), "B")
+    hb = _node_dims(_record(report["sequences"], "simplicial homology"), "B")
     if report["extension"]["dims"]["B"] > 0 and (
             side != "two-sided" or any(d != 0 for d in hb[1:])):
         raise SurrogateNotMet(
@@ -378,7 +334,7 @@ def amenable_scenario_check(report: dict) -> dict:
             "(two-sided unit + vanishing higher homology); unit=%s, H=%r"
             % (side, hb))
 
-    seq = _record(report, "simplicial cohomology")
+    seq = _record(report["sequences"], "simplicial cohomology")
     coh_a, coh_d, coh_b = (_node_dims(seq, group) for group in "ADB")
     high_equal = all(coh_a[n] == coh_d[n] for n in range(2, n_report + 1))
 
@@ -397,7 +353,7 @@ def amenable_scenario_check(report: dict) -> dict:
 
     # cyclic pattern: HC^even(B) has the trace dimension, HC^odd(B) = 0,
     # and the cyclic cohomology candidate is exact in the window
-    cyclic = _record(report, "cyclic cohomology")
+    cyclic = _record(report["sequences"], "cyclic cohomology")
     hc_b = _node_dims(cyclic, "B")
     pattern_ok = all(d == (0 if n % 2 else coh_b[0]) for n, d in enumerate(hc_b))
 

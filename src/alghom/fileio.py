@@ -166,6 +166,9 @@ def load_document(path: str):
     except json.JSONDecodeError as exc:
         raise ParseError("%s: malformed JSON at line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg))
+    except (ValueError, RecursionError) as exc:
+        # an integer past the int-string limit, or nesting too deep
+        raise ParseError("%s: unreadable JSON: %s" % (path, exc))
     if is_extension_obj(obj):
         return "extension", extension_from_obj(obj)
     return "algebra", algebra_from_obj(obj)

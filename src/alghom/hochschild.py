@@ -43,9 +43,12 @@ from dataclasses import dataclass
 from .algebra import (
     Algebra, AlgebraHom, Extension, find_splitting, validate_hom,
 )
-from .complexes import ChainComplex, ChainMap, require_complex
+from .complexes import (
+    ChainComplex, ChainMap, ShortExactSequenceOfComplexes, dualize,
+    dualize_map, require_complex,
+)
 from .linalg import (
-    Matrix, Subspace,
+    Cokernel, Matrix, Subspace,
     cokernel, hstack, kernel_basis, solve_many,
 )
 
@@ -68,14 +71,19 @@ class DegreeCapExceeded(Exception):
 
 
 def check_degree_cap(dim: int, n_report: int, force: bool = False):
+    """Refuse, unless force, more than DEGREE_CAP basis tensors, dim^k
+    for k = n_report + 3.  For dim >= 2 a k past the cap's bit length
+    exceeds it; dim^k is then not formed, and is printed as d^k."""
     if n_report < 0:
         raise ValueError("report degree must be >= 0, got %d" % n_report)
-    n_internal = n_report + 2
-    size = dim ** (n_internal + 1)
-    if size > DEGREE_CAP and not force:
+    n_internal, k = n_report + 2, n_report + 3
+    big = dim > 1 and k > DEGREE_CAP.bit_length()
+    if not force and (big or dim ** k > DEGREE_CAP):
         raise DegreeCapExceeded(
-            "degree %d over a %d-dimensional algebra needs %d basis tensors "
-            "(cap %d); pass force to override" % (n_internal, dim, size, DEGREE_CAP))
+            "degree %d over a %d-dimensional algebra needs %s basis tensors "
+            "(cap %d); pass force to override" % (
+                n_internal, dim, "%d^%d" % (dim, k) if big else dim ** k,
+                DEGREE_CAP))
 
 
 # -- simplicial and bar complexes ------------------------------------
@@ -160,23 +168,11 @@ def cyclic_operator(A: Algebra, n: int) -> Matrix:
                                for col in range(size)})
 
 
-@dataclass(frozen=True)
-class CyclicQuotientData:
-    degree: int
-    t_matrix: Matrix
-    one_minus_t: Matrix
-    projection: Matrix
-    section: Matrix
-    cc_dim: int
-
-
-def cyclic_quotient(A: Algebra, n: int) -> CyclicQuotientData:
+def cyclic_quotient(A: Algebra, n: int) -> Cokernel:
     """C_n(A) / Im(1 - t_n) by elimination; the oracle for
     rotation_orbits."""
     t = cyclic_operator(A, n)
-    omt = Matrix.identity(t.rows) - t
-    cok = cokernel(omt)
-    return CyclicQuotientData(n, t, omt, cok.projection, cok.section, cok.dim)
+    return cokernel(Matrix.identity(t.rows) - t)
 
 
 Orbits = namedtuple("Orbits", "reps coord sign")
@@ -333,10 +329,33 @@ def _coordinate_map(source, target, positions, project=False) -> ChainMap:
         for n, pos in enumerate(positions)])
 
 
-ExtensionPieces = namedtuple("ExtensionPieces", "CB CD sub incl comp map_ad")
+@dataclass
+class TheoryData:
+    """One homology theory's complexes and maps for an extension.  CA
+    is the complex of the adapted A (adapted_extension); the other
+    complexes and the maps are coordinate pieces of it."""
+
+    CA: ChainComplex
+    CB: ChainComplex
+    CD: ChainComplex
+    sub: ChainComplex          # kernel subcomplex inside CA
+    incl: ChainMap             # sub -> CA
+    comp: ChainMap             # CB -> sub (the comparison map)
+    map_ad: ChainMap           # CA -> CD (degreewise surjective)
+
+    @property
+    def ses(self) -> ShortExactSequenceOfComplexes:
+        """Ker -> C(A) -> C(D), valid by the read-off's construction."""
+        return ShortExactSequenceOfComplexes(
+            self.sub, self.CA, self.CD, self.incl, self.map_ad)
+
+    def dual_ses(self) -> ShortExactSequenceOfComplexes:
+        return ShortExactSequenceOfComplexes(
+            dualize(self.CD), dualize(self.CA), dualize(self.sub),
+            dualize_map(self.map_ad), dualize_map(self.incl))
 
 
-def _read_off(C_A: ChainComplex, counts) -> ExtensionPieces:
+def _read_off(C_A: ChainComplex, counts) -> TheoryData:
     """Split C_A by counts[n][k], the number of B slots of the tensor
     behind coordinate k in degree n: Ker has some, C(B) only B slots,
     and the quotient C(D) none.  C(B) maps to C_A through Ker, as
@@ -354,8 +373,8 @@ def _read_off(C_A: ChainComplex, counts) -> ExtensionPieces:
     sub, CB = _restrict(C_A, ker), _restrict(C_A, only_b)
     CD = _restrict(C_A, no_b, sub=False)
     in_ker = [{t: k for k, t in enumerate(kn)} for kn in ker]
-    return ExtensionPieces(
-        CB, CD, sub, _coordinate_map(sub, C_A, ker),
+    return TheoryData(
+        C_A, CB, CD, sub, _coordinate_map(sub, C_A, ker),
         _coordinate_map(CB, sub, [[at[t] for t in ob]
                                   for at, ob in zip(in_ker, only_b)]),
         _coordinate_map(C_A, CD, no_b, project=True))
@@ -374,14 +393,13 @@ def _b_slot_counts(ext: Extension, top: int):
     return counts
 
 
-def kernel_subcomplex(ext: Extension, C_A: ChainComplex) -> ExtensionPieces:
-    """C(B), the quotient C(D), the subcomplex Ker(j (x) ... (x) j) and
-    the maps incl, comp and map_ad, read off C_A, the simplicial or bar
-    complex of the A of an adapted extension, by index."""
+def kernel_subcomplex(ext: Extension, C_A: ChainComplex) -> TheoryData:
+    """The theory (TheoryData) of C_A, the simplicial or bar complex of
+    the A of an adapted extension, read off C_A by index."""
     return _read_off(C_A, _b_slot_counts(ext, C_A.top_degree))
 
 
-def cyclic_kernel_subcomplex(ext: Extension, cyclic_A) -> ExtensionPieces:
+def cyclic_kernel_subcomplex(ext: Extension, cyclic_A) -> TheoryData:
     """kernel_subcomplex for Connes' complex: cyclic_A is what
     connes_complex returns for the simplicial complex of the A of an
     adapted extension.  Rotation keeps the number of B slots, so each

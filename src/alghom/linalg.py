@@ -109,15 +109,6 @@ class Matrix:
         return Matrix(rows, cols)
 
     @staticmethod
-    def from_dense(data, rows=None, cols=None) -> "Matrix":
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        return Matrix(rows, cols, {(r, c): v for r, row in enumerate(data)
-                                   for c, v in enumerate(row)})
-
-    @staticmethod
     def from_columns(rows: int, columns) -> "Matrix":
         """Build from a list of sparse columns, each a dict {row: value}."""
         ents = {}
@@ -416,22 +407,22 @@ class Subspace:
     def _row_index(self) -> dict:
         return {r: k for k, r in enumerate(self.coordinate_rows)}
 
-    def contains(self, vec: dict) -> bool:
-        return self.coords(vec) is not None
-
 
 @dataclass(frozen=True)
 class Cokernel:
     """Quotient of the target of a matrix by its column space.
 
-    projection has full row rank and projection @ M = 0; section embeds
-    quotient coordinates back into the ambient space with
-    projection @ section = identity.
+    projection has full row rank and projection @ M = 0; rows lists the
+    target coordinates whose unit vectors it maps to the unit vectors
+    of the quotient, in order.
     """
 
     projection: Matrix
-    dim: int
-    section: Matrix
+    rows: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
 
 # -- the public operations -------------------------------------------
@@ -485,12 +476,10 @@ def image_basis(M: Matrix) -> Subspace:
 
 def cokernel(M: Matrix) -> Cokernel:
     """Projection of the target of M onto a complement of Im M: the
-    kernel basis of M's transpose, transposed.  The section embeds its
-    coordinate rows (the non-pivot rows of the column space) back."""
+    kernel basis of M's transpose, transposed.  Its rows are the
+    kernel's coordinate rows, the non-pivot rows of the column space."""
     ker = kernel_basis(M.transpose())
-    section = Matrix(M.rows, ker.dim,
-                     {(q, qi): 1 for qi, q in enumerate(ker.coordinate_rows)})
-    return Cokernel(ker.basis.transpose(), ker.dim, section)
+    return Cokernel(ker.basis.transpose(), ker.coordinate_rows)
 
 
 def solve(M: Matrix, b):

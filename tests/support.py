@@ -4,7 +4,8 @@ homology/cohomology window implications for injective chain maps,
 Kronecker products and the kernel span lemma they check, the probing
 kernel basis oracle, coordinates by a solve as the oracle for the
 read-off of Subspace.coords, elimination over Q as the oracle for the
-fraction-free elimination, and fixed changes of basis for extensions."""
+fraction-free elimination, fixed changes of basis for extensions, and
+dense and section constructors for matrices."""
 
 import random
 
@@ -15,9 +16,26 @@ from alghom.complexes import (
     induced_map_on_homology, long_exact_sequence,
 )
 from alghom.linalg import (
-    Matrix, ONE, Q, Subspace, ZERO, _rref, hstack, kernel_basis, rank,
-    solve_many,
+    Cokernel, Matrix, ONE, Q, Subspace, ZERO, _rref, hstack, kernel_basis,
+    rank, solve_many,
 )
+
+
+def from_dense(data, rows=None, cols=None) -> Matrix:
+    """The matrix of a list of rows."""
+    if rows is None:
+        rows = len(data)
+    if cols is None:
+        cols = len(data[0]) if data else 0
+    return Matrix(rows, cols, {(r, c): v for r, row in enumerate(data)
+                               for c, v in enumerate(row)})
+
+
+def section(cok: Cokernel) -> Matrix:
+    """The 0/1 matrix embedding the quotient coordinates of cok at its
+    rows, so that cok.projection @ section(cok) is the identity."""
+    return Matrix(cok.projection.cols, cok.dim,
+                  {(r, k): 1 for k, r in enumerate(cok.rows)})
 
 
 def random_complex(rng: random.Random, degrees: int, max_dim: int) -> ChainComplex:
@@ -306,7 +324,8 @@ def lemma_vanishing_check(seed: int, degrees: int = 4, max_dim: int = 4) -> tupl
     nonvacuous = 0
     for k in range(2, len(seq.nodes) - 2):
         nd = seq.nodes[k]
-        if nd.boundary or seq.nodes[k - 1].boundary or seq.nodes[k + 1].boundary:
+        if not (nd.in_window and seq.nodes[k - 1].in_window
+                and seq.nodes[k + 1].in_window):
             continue
         if _is_iso(seq.maps[k - 2]) and _is_iso(seq.maps[k + 1]):
             nonvacuous += 1
@@ -329,7 +348,7 @@ def rebased(ext, S=BASIS_CHANGE):
     spanned by basis vectors."""
     d = ext.A.dim
     assert d == len(S)
-    S_inv = solve_many(Matrix.from_dense(S), Matrix.identity(d))
+    S_inv = solve_many(from_dense(S), Matrix.identity(d))
     mult = {(a, b): S_inv.apply_dict(ext.A.product(
                 {i: S[i][a] for i in range(d)}, {j: S[j][b] for j in range(d)}))
             for a in range(d) for b in range(d)}

@@ -11,6 +11,8 @@ from alghom import algebra, linalg
 from alghom.corpus import CORPUS, build
 from alghom.linalg import Matrix, ONE, Q
 
+from support import from_dense
+
 
 ALL_PRESETS = [
     preset("field"),
@@ -136,7 +138,7 @@ def test_validate_extension_im_i_is_ker_j():
     """j = [1, 0] on split_product is multiplicative and onto, and i is
     injective, but j kills the complement of i(B) instead of i(B)."""
     ext = build("split_product")
-    j = AlgebraHom(ext.A, ext.D, Matrix.from_dense([[1, 0]]))
+    j = AlgebraHom(ext.A, ext.D, from_dense([[1, 0]]))
     assert validate_extension(Extension(ext.B, ext.A, ext.D, ext.i, j)) == {
         "invariant": "Im i = Ker j", "detail": "Im i not in Ker j"}
 
@@ -162,8 +164,8 @@ def test_validate_extension_checks_associativity():
     B = Algebra(1)
     A = Algebra(2, mult={(1, 1): {0: 1, 1: 1}, (1, 0): {0: 1}})
     D = Algebra(1, mult={(0, 0): {0: 1}})
-    i = AlgebraHom(B, A, Matrix.from_dense([[1], [0]]))
-    j = AlgebraHom(A, D, Matrix.from_dense([[0, 1]]))
+    i = AlgebraHom(B, A, from_dense([[1], [0]]))
+    j = AlgebraHom(A, D, from_dense([[0, 1]]))
     bad = validate_extension(Extension(B, A, D, i, j))
     assert bad is not None and bad["invariant"] == "A associative"
     assert bad["detail"]["triple"] == (1, 1, 1)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, report parity."""
 
 import json
+import time
 
 import pytest
 
@@ -350,3 +351,45 @@ def test_lenient_index_or_rational_is_parse_error(capsys, tmp_path, mult):
     assert out == ""
     assert err.startswith("parse error: mult")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "mult": [[0, 0, {"0": %s}]]}' % ("7" * 5000),
+    "[" * 100000 + "]" * 100000], ids=["long-integer", "deep-nesting"])
+def test_unreadable_json_is_parse_error(capsys, tmp_path, text):
+    """JSON that json.load rejects without a JSONDecodeError (an integer
+    past the int-string limit, nesting past the recursion limit) exits
+    2 with one line naming the file."""
+    path = tmp_path / "unreadable.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: %s: " % path)
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_degree_cap_refusal_text(capsys, tmp_path):
+    """A count of few digits is printed in full."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"preset": "zero_mult", "d": 16}))
+    code, _, err = run(capsys, "homology", str(path))
+    assert code == 3
+    assert err == ("degree cap exceeded: degree 5 over a 16-dimensional "
+                   "algebra needs 16777216 basis tensors (cap 1000000); "
+                   "pass force to override\n")
+
+
+def test_degree_cap_at_a_huge_degree(capsys, tmp_path):
+    """The cap refuses a degree whose tensor count has thousands of
+    digits at once, and prints the count as d^k."""
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"preset": "direct_sum", "a": {"preset": "field"},
+                                "b": {"preset": "field"}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", str(path), "--max-degree", "20000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "cap" in err and "needs 2^20003 basis tensors" in err

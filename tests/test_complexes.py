@@ -20,8 +20,8 @@ from alghom.complexes import (
 from alghom.linalg import Matrix, ONE, Q, rank
 
 from support import (
-    lemma_vanishing_check, prop_window_check, random_complex, random_ses,
-    snake_check,
+    from_dense, lemma_vanishing_check, prop_window_check, random_complex,
+    random_ses, snake_check,
 )
 
 
@@ -36,8 +36,8 @@ seeds = st.integers(0, 10 ** 6)
 
 def test_check_complex_catches_bad_differential():
     # dims [1, 2, 1]: d0 is 1x2, d1 is 2x1, and d0 @ d1 != 0
-    d0 = Matrix.from_dense([[1, 0]])
-    d1 = Matrix.from_dense([[1], [0]])
+    d0 = from_dense([[1, 0]])
+    d1 = from_dense([[1], [0]])
     K = ChainComplex([1, 2, 1], [d0, d1])
     assert check_complex(K) is not None
 
@@ -88,7 +88,7 @@ def test_betti_duality(seed):
 
 
 def test_dualize_reverses_and_transposes():
-    d0 = Matrix.from_dense([[1, 0]])
+    d0 = from_dense([[1, 0]])
     K = ChainComplex([1, 2], [d0])
     D = dualize(K)
     assert D.dims == [2, 1]
@@ -142,7 +142,7 @@ def test_induced_map_rejects_non_chain_map():
     # identity from the zero-differential complex to the identity-
     # differential complex sends cycles to non-cycles at degree 1
     K = ChainComplex([1, 1], [Matrix.zero(1, 1)], genuine_top=True)
-    L = ChainComplex([1, 1], [Matrix.from_dense([[1]])], genuine_top=True)
+    L = ChainComplex([1, 1], [from_dense([[1]])], genuine_top=True)
     psi = ChainMap(K, L, [Matrix.identity(1), Matrix.identity(1)])
     with pytest.raises(WellDefinednessViolation):
         induced_map_on_homology(psi, 1)
@@ -175,13 +175,13 @@ def test_induced_map_solves_once(monkeypatch):
 def test_interior_exact_needs_zero_compositions():
     """A node with defect 0 whose adjacent maps do not compose to zero
     is not exact."""
-    f = Matrix.from_dense([[1, 0], [0, 0]])
+    f = from_dense([[1, 0], [0, 0]])
     seq = assemble_sequence([("a", 2, 2), ("b", 1, 2), ("c", 0, 2)], [f, f],
                             genuine_top=True, genuine_bottom=True,
                             window=(1, 1))
     middle = seq.nodes[1]
-    assert (middle.boundary, middle.defect, middle.composition_zero) == (
-        False, 0, False)
+    assert (middle.in_window, middle.defect, middle.composition_zero) == (
+        True, 0, False)
     assert not seq.interior_exact
 
 

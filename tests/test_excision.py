@@ -7,7 +7,9 @@ always agree.
 """
 
 import functools
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -424,3 +426,87 @@ def test_report_is_invariant_under_non_unimodular_rebasing(name):
                for c in prod.values())
     assert (_without_unit_element(excision_report(moved, 2))
             == _without_unit_element(excision_report(ext, 2)))
+
+
+def test_report_drops_each_theory_before_the_next(monkeypatch):
+    """The simplicial theory's pieces are dead when Connes' complex is
+    relabelled from its C(A), and that C(A) is dead when the bar
+    complex builds: each theory is read into its records and dropped."""
+    complexes_built, pieces_read, checked = [], [], []
+
+    def keep(real, refs, attr=None):
+        def kept(*args, **kwargs):
+            out = real(*args, **kwargs)
+            refs.append(weakref.ref(getattr(out, attr) if attr else out))
+            return out
+        return kept
+
+    def dead_before(real, refs):
+        def check(*args, **kwargs):
+            gc.collect()
+            assert refs and all(ref() is None for ref in refs)
+            checked.append(real)
+            return real(*args, **kwargs)
+        return check
+
+    monkeypatch.setattr(excision, "hochschild_complex",
+                        keep(excision.hochschild_complex, complexes_built))
+    monkeypatch.setattr(excision, "kernel_subcomplex",
+                        keep(excision.kernel_subcomplex, pieces_read, "sub"))
+    monkeypatch.setattr(excision, "connes_complex",
+                        dead_before(excision.connes_complex, pieces_read))
+    monkeypatch.setattr(excision, "bar_complex",
+                        dead_before(excision.bar_complex, complexes_built))
+    excision_report(build("two_of_three"), 1)
+    assert len(checked) == 2
+
+
+def test_report_reads_its_numbers_off_the_records(monkeypatch):
+    """Betti duality and the bar homology of B come from the sequence
+    records, not from dims recomputed on a complex."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dims recomputed from a complex")
+
+    for module in (excision, complexes):
+        for name in ("homology_dims", "cohomology_dims"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    r = excision_report(build("nilpotent_corner"), 2)
+    assert r["betti_duality_ok"]
+    assert r["hypothesis"]["bar_homology_B"] == [1, 1, 1]
+
+
+NODE_KEYS = ["degree", "group", "dim", "defect", "in_window",
+             "composition_zero"]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_report_nodes_have_the_record_keys_in_order(name):
+    r = report(name)
+    for rec in r["sequences"] + r["snake_sequences"]:
+        for node in rec["nodes"]:
+            assert list(node) == NODE_KEYS, rec["name"]
+
+
+def _theory_records(r, theory):
+    """A report's candidate and snake records of one theory, copied."""
+    r = json.loads(json.dumps(r))
+    names = ["%s homology" % theory, "%s cohomology" % theory]
+    return ([rec for name in names for rec in r["sequences"]
+             if rec["name"] == name],
+            [rec for name in names for rec in r["snake_sequences"]
+             if rec["name"] == name + " (kernel subcomplex)"])
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("snake, group", [(False, "B"), (True, "Ker*")],
+                         ids=["homology-B", "dual-snake-Ker*"])
+def test_betti_duality_compares_every_group(theory, snake, group):
+    """Records that differ from a report's in one node dim of B in the
+    homology candidate, or of Ker* in the dual snake, fail the
+    Betti-duality comparison."""
+    candidates, snakes = _theory_records(report("nilpotent_corner"), theory)
+    assert excision._betti_duality_ok(candidates, snakes)
+    rec = snakes[1] if snake else candidates[0]
+    node = next(nd for nd in rec["nodes"] if nd["group"] == group)
+    node["dim"] += 1
+    assert not excision._betti_duality_ok(candidates, snakes)

@@ -3,6 +3,7 @@ dense oracle, plus hand-checkable dimension tables."""
 
 import itertools
 import math
+import time
 
 import pytest
 
@@ -23,7 +24,9 @@ from alghom.hochschild import (
 )
 from alghom.linalg import Matrix, ONE, Q, ZERO, kernel_basis, rank
 
-from support import kron_power, rebased, verify_kernel_span
+from support import (
+    from_dense, kron_power, rebased, section, verify_kernel_span,
+)
 
 
 def oracle_differential(A, n, wrap):
@@ -150,10 +153,11 @@ def test_cyclic_quotient_dims():
     A = preset("matrix", k=2)
     CC, orbits = cyclic_complex(A, 2)
     assert CC.dims[0] == A.dim
-    assert cyclic_quotient(A, 0).one_minus_t.is_zero()
+    assert (Matrix.identity(A.dim) - cyclic_operator(A, 0)).is_zero()
     for n, orb in enumerate(orbits):
-        q = cyclic_quotient(A, n)
-        assert CC.dims[n] == len(orb.reps) == q.t_matrix.rows - rank(q.one_minus_t)
+        t = cyclic_operator(A, n)
+        assert (CC.dims[n] == len(orb.reps) == cyclic_quotient(A, n).dim
+                == t.rows - rank(Matrix.identity(t.rows) - t))
 
 
 def _cokernel_complex(A, n_report):
@@ -161,8 +165,8 @@ def _cokernel_complex(A, n_report):
     the differential projection @ d @ section."""
     C = hochschild_complex(A, n_report)
     quot = [cyclic_quotient(A, n) for n in range(C.top_degree + 1)]
-    return ([q.cc_dim for q in quot],
-            [quot[n].projection @ d @ quot[n + 1].section
+    return ([q.dim for q in quot],
+            [quot[n].projection @ d @ section(quot[n + 1])
              for n, d in enumerate(C.diffs)])
 
 
@@ -307,8 +311,8 @@ def _non_ideal_extension():
     with i = [I; 0] and j = [0 | I] although e11 e12 = e12 leaves B."""
     A = preset("upper_triangular", k=2)
     B, D = preset("field"), preset("zero_mult", d=2)
-    i = Matrix.from_dense([[1], [0], [0]])
-    j = Matrix.from_dense([[0, 1, 0], [0, 0, 1]])
+    i = from_dense([[1], [0], [0]])
+    j = from_dense([[0, 1, 0], [0, 0, 1]])
     return Extension(B, A, D, AlgebraHom(B, A, i), AlgebraHom(A, D, j))
 
 
@@ -390,6 +394,16 @@ def test_degree_cap():
     check_degree_cap(big.dim, 3, force=True)
     with pytest.raises(DegreeCapExceeded):
         hochschild_complex(big, 3)
+
+
+def test_degree_cap_forms_no_huge_power():
+    """An exponent past the cap's bit length is refused without forming
+    dim^k, which at degree 10^7 has millions of digits."""
+    start = time.perf_counter()
+    with pytest.raises(DegreeCapExceeded, match=r"needs 5\^10000003 "):
+        check_degree_cap(5, 10 ** 7)
+    assert time.perf_counter() - start < 1
+    check_degree_cap(1, 10 ** 7)
 
 
 def test_negative_degree_rejected():
