@@ -169,9 +169,13 @@ def load_document(path: str):
     except (ValueError, RecursionError) as exc:
         # an integer past the int-string limit, or nesting too deep
         raise ParseError("%s: unreadable JSON: %s" % (path, exc))
-    if is_extension_obj(obj):
-        return "extension", extension_from_obj(obj)
-    return "algebra", algebra_from_obj(obj)
+    try:
+        if is_extension_obj(obj):
+            return "extension", extension_from_obj(obj)
+        return "algebra", algebra_from_obj(obj)
+    except RecursionError as exc:
+        # presets nested deeper than the conversion can recurse
+        raise ParseError("%s: presets nested too deep: %s" % (path, exc))
 
 
 def dump_document(obj, path: str):

@@ -19,15 +19,16 @@ pivot: an entry stays an int when that division is exact and becomes
 Q(w, pivot) otherwise, so two ints are never divided into a float.
 Every value equals the one the same operations give over Q alone.
 
-Determinism contract: elimination always pivots on the leftmost nonzero
-column, choosing the smallest-magnitude candidate entry of the integral
-rows (lowest row index on ties).  Kernel, image and cokernel bases are
-read off the reduced row echelon form, and solutions off that of a
+Determinism contract: elimination always pivots on a row's leftmost
+nonzero column, and the first row to arrive at a column with no pivot
+row becomes that column's pivot row.  Kernel, image and cokernel bases
+are read off the reduced row echelon form, and solutions off that of a
 consistent augmented system.  A matrix determines its RREF uniquely,
-whichever rows are chosen as pivots, so identical inputs give
-bit-identical bases, equal to those of elimination over Q.  Without
-reduction only the pivot columns are read: they are the
-rank-increasing columns, also independent of the pivot rows.
+whichever rows become pivot rows and in whatever order the rows come,
+so identical inputs give bit-identical bases, equal to those of
+elimination over Q.  Without reduction only the pivot columns are read:
+they are the rank-increasing columns, also independent of the pivot
+rows and of the row order.
 """
 
 from __future__ import annotations
@@ -236,106 +237,94 @@ def hstack(mats) -> Matrix:
 # -- elimination core ------------------------------------------------
 
 
+def _clear(row, prow, c):
+    """Clear column c of the integral row with the integral pivot row
+    prow, whose pivot pv is at c.  A pivot pv = +-1 is its own inverse:
+    a row with entry a becomes row - a*pv*prow.  Any other pivot turns
+    row into (pv/g)*row - (a/g)*prow with g = gcd(a, pv) and the
+    multiplier of row made positive, and row is then divided by its
+    content (the gcd of its entries)."""
+    a, pv = row[c], prow[c]
+    unit = pv == 1 or pv == -1
+    if unit:
+        f = a * pv
+    else:
+        g = gcd(a, pv)
+        m, f = pv // g, a // g
+        if m < 0:
+            m, f = -m, -f
+        if m != 1:
+            for cc, w in row.items():
+                row[cc] = m * w
+    for cc, w in prow.items():
+        s = row.get(cc, 0) - f * w
+        if s:
+            row[cc] = s
+        else:
+            del row[cc]
+    if not unit:
+        content = gcd(*row.values())
+        if content > 1:
+            for cc, w in row.items():
+                row[cc] = w // content
+
+
 def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
-    """Sparse fraction-free Gaussian elimination with the deterministic
-    pivot rule.
+    """Sparse fraction-free Gaussian elimination, row by row against a
+    table of pivot rows.
 
     A row with Q entries is first multiplied by the lcm of its
-    denominators, which keeps its span, so every row is integral.  Pivots
-    are on the leftmost nonzero column, on the smallest-magnitude entry
-    (lowest row index on ties).  A pivot pv = +-1 of row p is its own
-    inverse: with reduce=True p is negated when pv = -1, and a target
-    row t with entry a becomes t - a*pv*p.  Any other pivot turns t into
-    (pv/g)*t - (a/g)*p with g = gcd(a, pv) and the multiplier of t made
-    positive, and t is then divided by its content (the gcd of its
-    entries).  Columns >= pivot_limit are never pivoted on (used for
-    augmented solves).
+    denominators, which keeps its span, so every row is integral.  Each
+    row, in input order, is cleared at its leading (leftmost nonzero)
+    column by that column's pivot row (_clear) until no pivot row exists
+    for its leading column; it then becomes that column's pivot row, or
+    a leftover row if the column is >= pivot_limit (used for augmented
+    solves: those columns are never pivoted on).  A row that vanishes is
+    dropped.
 
-    With reduce=True each pivot row also clears its column in the earlier
-    pivot rows, and at the end is divided by its pivot: the result is the
-    reduced row echelon form (pivots 1, zeros above and below).  With
-    reduce=False the rows stay integral and only the pivot columns are
-    meaningful.
+    With reduce=True the pivot rows are then taken from the rightmost
+    pivot column to the leftmost, and each row's other pivot columns are
+    cleared with the rows already taken, which are zero at every pivot
+    column but their own, so no pivot column comes back.  At the end
+    each row is divided by its pivot: the result is the reduced row
+    echelon form (pivots 1, zeros above and below).  With reduce=False
+    the rows stay integral and only the pivot columns are meaningful.
 
     Returns (pivots, leftover) where pivots is a list of (col, row_dict)
     in increasing column order and leftover are the surviving non-pivot
     rows (nonzero only in columns >= pivot_limit).
     """
-    rows = [dict(r) for r in row_dicts]
     if pivot_limit is None:
         pivot_limit = ncols
-    colmap = {}
-    for i, r in enumerate(rows):
-        integral = True
-        for c, v in r.items():
-            colmap.setdefault(c, set()).add(i)
-            if type(v) is not int:
-                integral = False
-        if not integral:
-            scale = lcm(*(v.denominator for v in r.values()))
-            for cc, v in r.items():
-                r[cc] = v.numerator * (scale // v.denominator)
+    pivot_of, leftover = {}, []
+    for r in row_dicts:
+        row = dict(r)
+        if any(type(v) is not int for v in row.values()):
+            scale = lcm(*(v.denominator for v in row.values()))
+            for cc, v in row.items():
+                row[cc] = v.numerator * (scale // v.denominator)
+        while row:
+            c = min(row)
+            if c >= pivot_limit:
+                leftover.append(row)
+                break
+            prow = pivot_of.get(c)
+            if prow is None:
+                pivot_of[c] = row
+                break
+            _clear(row, prow, c)
 
-    pivot_of = {}
-    for c in range(pivot_limit):
-        live = colmap.get(c)
-        if not live:
-            continue
-        cand = [i for i in live if i not in pivot_of]
-        if not cand:
-            continue
-        p = min(cand, key=lambda i: (abs(rows[i][c]), i))
-        prow = rows[p]
-        pv = prow[c]
-        if reduce and pv == -1:
-            for cc in prow:
-                prow[cc] = -prow[cc]
-            pv = 1
-        unit = pv == 1 or pv == -1
-        if reduce:
-            targets = [i for i in live if i != p]
-        else:
-            targets = [i for i in live if i != p and i not in pivot_of]
-        for i in sorted(targets):
-            trow = rows[i]
-            a = trow[c]
-            if unit:
-                f = a * pv
-            else:
-                g = gcd(a, pv)
-                m, f = pv // g, a // g
-                if m < 0:
-                    m, f = -m, -f
-                if m != 1:
-                    for cc, w in trow.items():
-                        trow[cc] = m * w
-            for cc, w in prow.items():
-                s = trow.get(cc, 0) - f * w
-                if s:
-                    if cc not in trow:
-                        colmap.setdefault(cc, set()).add(i)
-                    trow[cc] = s
-                else:
-                    if cc in trow:
-                        del trow[cc]
-                        colmap[cc].discard(i)
-            if not unit:
-                content = gcd(*trow.values())
-                if content > 1:
-                    for cc, w in trow.items():
-                        trow[cc] = w // content
-        pivot_of[p] = c
-
-    pivots = sorted(((c, rows[p]) for p, c in pivot_of.items()), key=lambda t: t[0])
+    pivots = sorted(pivot_of.items())
     if reduce:
+        for c, row in reversed(pivots):
+            for cc in [k for k in row if k > c and k in pivot_of]:
+                _clear(row, pivot_of[cc], cc)
         for c, row in pivots:
             pv = row[c]
             if pv != 1:
                 for cc, w in row.items():
                     q, rem = divmod(w, pv)
                     row[cc] = Q(w, pv) if rem else q
-    leftover = [rows[i] for i in range(len(rows))
-                if i not in pivot_of and rows[i]]
     return pivots, leftover
 
 
@@ -430,7 +419,7 @@ class Cokernel:
 
 def pivot_columns(M: Matrix):
     """Columns of M that successively increase the rank: the pivot
-    columns of the row echelon form, under the deterministic pivot rule."""
+    columns of the row echelon form, which no choice of pivot row moves."""
     pivots, _ = _echelon(M.row_dicts(), M.cols, reduce=False)
     return [c for c, _ in pivots]
 

@@ -369,6 +369,46 @@ def test_unreadable_json_is_parse_error(capsys, tmp_path, text):
     assert len(err.strip().splitlines()) == 1
 
 
+def preset_chain(depth: int) -> str:
+    """A field nested depth deep as the left summand of direct_sum, with
+    zero_mult(0) right summands: the conversion recurses once a level."""
+    right = '{"preset": "zero_mult", "d": 0}'
+    return ('{"preset": "direct_sum", "a": ' * depth + '{"preset": "field"}'
+            + (', "b": %s}' % right) * depth)
+
+
+def assert_one_parse_error(path, code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: %s: " % path)
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth", [986, 5000])
+def test_deep_preset_chain_is_parse_error(capsys, tmp_path, depth):
+    """A preset chain that json.load or the preset conversion cannot
+    recurse through exits 2 with one line naming the file."""
+    path = tmp_path / "chain.json"
+    path.write_text(preset_chain(depth))
+    assert_one_parse_error(path, *run(capsys, "validate", str(path)))
+
+
+def test_preset_chains_are_read_or_refused_in_one_line(capsys, tmp_path):
+    """Just inside json.load's recursion limit the conversion, which
+    needs a few more frames, runs out first.  Walking down from 1,000
+    levels to the first chain that is read, every chain on the way is
+    refused with one parse error line, never a traceback."""
+    path = tmp_path / "chain.json"
+    for depth in range(1000, 0, -1):
+        path.write_text(preset_chain(depth))
+        code, out, err = run(capsys, "validate", str(path))
+        if code == 0:
+            assert out == "valid algebra: dim 1\n"
+            break
+        assert_one_parse_error(path, code, out, err)
+    assert depth > 500
+
+
 def test_degree_cap_refusal_text(capsys, tmp_path):
     """A count of few digits is printed in full."""
     path = tmp_path / "big.json"

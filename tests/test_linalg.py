@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from alghom.algebra import preset
 from alghom.complexes import cohomology_dims, homology_dims
-from alghom.corpus import build
+from alghom.corpus import CORPUS, build
 from alghom.excision import excision_report
 from alghom.hochschild import bar_complex, cyclic_complex, hochschild_complex
 from alghom import linalg
@@ -26,8 +26,8 @@ from alghom.linalg import (
 )
 
 from support import (
-    BASIS_CHANGE_DET_4, coords_by_solve, echelon_over_q, from_dense,
-    kernel_basis_by_probing, kron, kron_power, rebased, section,
+    BASIS_CHANGE, BASIS_CHANGE_DET_4, coords_by_solve, echelon_over_q,
+    from_dense, kernel_basis_by_probing, kron, kron_power, rebased, section,
 )
 
 
@@ -483,6 +483,51 @@ def test_fraction_free_echelon_matches_the_q_oracle(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_echelon", echelon_over_q)
             assert got == outputs()
+
+
+REBASED_ALGEBRAS = [
+    pytest.param(rebased(build(name), S).A, id="%s-%s" % (name, tag))
+    for name in sorted(n for n in CORPUS if build(n).A.dim == 3)
+    for tag, S in [("unimodular", BASIS_CHANGE), ("det4", BASIS_CHANGE_DET_4)]]
+
+
+@pytest.mark.parametrize("A", REBASED_ALGEBRAS)
+def test_echelon_matches_the_q_oracle_on_dense_differentials(A):
+    """Every differential of a rebased C(A) at report degree 1 (up to
+    27 x 81, dense, with non-unit pivots and many back-substitutions)
+    and its transpose: the same RREF as elimination over Q, and the
+    same pivot columns without reduction."""
+    for d in hochschild_complex(A, 1).diffs:
+        for M in (d, d.transpose()):
+            rows = M.row_dicts()
+            assert (_echelon(rows, M.cols, reduce=True)
+                    == echelon_over_q(rows, M.cols, reduce=True))
+            assert ([c for c, _ in _echelon(rows, M.cols, reduce=False)[0]]
+                    == [c for c, _ in echelon_over_q(rows, M.cols,
+                                                     reduce=False)[0]])
+
+
+def test_echelon_does_not_depend_on_the_row_order():
+    """Whichever row of a column arrives first becomes its pivot row,
+    and no output reads that choice: permuted rows give the same RREF,
+    the same pivot columns without reduction, and the same consistency
+    verdict (and, when consistent, RREF) under a pivot limit."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        rows, ncols, extra = oracle_rows(rng)
+        limit = ncols - extra
+        rref = _echelon(rows, ncols, reduce=True)
+        cols = [c for c, _ in _echelon(rows, ncols, reduce=False)[0]]
+        augmented = _echelon(rows, ncols, reduce=True, pivot_limit=limit)
+        for _ in range(3):
+            permuted = rng.sample(rows, len(rows))
+            assert _echelon(permuted, ncols, reduce=True) == rref
+            assert [c for c, _ in _echelon(permuted, ncols,
+                                           reduce=False)[0]] == cols
+            got = _echelon(permuted, ncols, reduce=True, pivot_limit=limit)
+            assert inconsistent(got, limit) == inconsistent(augmented, limit)
+            if not inconsistent(got, limit):
+                assert got[0] == augmented[0]
 
 
 def test_elimination_happens_only_in_linalg():
