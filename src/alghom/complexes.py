@@ -4,7 +4,8 @@ sequences, the connecting homomorphism and long-exact-sequence assembly.
 Complexes are graded 0..top_degree with differentials d_n: C_{n+1} -> C_n.
 A complex built as a truncation of an infinite one is unreliable at its
 top degree only; genuine_top marks complexes (such as duals of complexes
-that really start in degree 0) whose top degree is exact.
+that really start in degree 0) whose top degree is exact; the builders
+stop one degree above the top reported one, whose H_n and H^n read d_n.
 
 Homology bases are echelon-deterministic: the boundary basis is the
 canonical column-space basis of d_n, and representatives are the cycle

@@ -37,7 +37,7 @@ c_k (-1)^(n+1) in row k d^n + mid.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .algebra import (
@@ -72,8 +72,9 @@ class DegreeCapExceeded(Exception):
 
 def check_degree_cap(dim: int, n_report: int, force: bool = False):
     """Refuse, unless force, more than DEGREE_CAP basis tensors, dim^k
-    for k = n_report + 3.  For dim >= 2 a k past the cap's bit length
-    exceeds it; dim^k is then not formed, and is printed as d^k."""
+    for k = n_report + 3: one degree above the top built, as dim^(k - 1)
+    admits M_3(Q) + Q at degree 4 (2.3 GiB).  For dim >= 2 a k past the
+    cap's bit length exceeds it; dim^k is not formed but printed d^k."""
     if n_report < 0:
         raise ValueError("report degree must be >= 0, got %d" % n_report)
     n_internal, k = n_report + 2, n_report + 3
@@ -143,16 +144,16 @@ def _build_complex(A: Algebra, top: int, wrap: bool) -> ChainComplex:
 
 
 def hochschild_complex(A: Algebra, n_report: int, force: bool = False) -> ChainComplex:
-    """Simplicial chain complex of A to internal degree n_report + 2."""
+    """Simplicial chain complex of A to internal degree n_report + 1."""
     check_degree_cap(A.dim, n_report, force)
-    return require_complex(_build_complex(A, n_report + 2, wrap=True),
+    return require_complex(_build_complex(A, n_report + 1, wrap=True),
                            "simplicial complex")
 
 
 def bar_complex(A: Algebra, n_report: int, force: bool = False) -> ChainComplex:
-    """Bar chain complex (no wrap-around term)."""
+    """Bar chain complex (no wrap-around term), built as far."""
     check_degree_cap(A.dim, n_report, force)
-    return require_complex(_build_complex(A, n_report + 2, wrap=False),
+    return require_complex(_build_complex(A, n_report + 1, wrap=False),
                            "bar complex")
 
 
@@ -208,37 +209,35 @@ def rotation_orbits(d: int, n: int) -> Orbits:
 
 def _relabel(dn: Matrix, rows: Orbits, cols: Orbits, n: int) -> Matrix:
     """The differential induced by dn: C_{n+1} -> C_n on the orbit
-    coordinates.  Column k is dn's column at reps[k] with each row mapped
-    to its orbit and sign (rows in dead orbits dropped).  The quotient
-    map is well defined, proj @ dn @ (1 - t) = 0, iff every relabelled
-    column of dn is its sign times its orbit's column, and relabels to 0
-    in a dead orbit; this is checked in one pass over dn's nonzeros."""
-    images = [{} for _ in range(dn.cols)]
+    coordinates: dn's column at reps[k], each row mapped to its orbit
+    and sign (rows in dead orbits dropped), is column k.  It is well
+    defined, proj @ dn @ (1 - t) = 0, iff every relabelled column of dn
+    is its sign times its orbit's column (0 in a dead orbit): one pass
+    finds each nonzero its sign times an entry of its orbit's column,
+    and an orbit of length L with L times that column's nonzeros."""
+    images = {}
     for (r, c), v in dn.entries.items():
         k = rows.coord[r]
         if k >= 0:
-            img = images[c]
-            img[k] = img.get(k, 0) + (v if rows.sign[r] > 0 else -v)
-    out = [None] * len(cols.reps)
-    # descending, so each orbit's representative comes first
-    for x in range(dn.cols - 1, -1, -1):
-        img = {k: v for k, v in images[x].items() if v}
-        k = cols.coord[x]
-        if k >= 0 and x == cols.reps[k]:
-            out[k] = img
+            key = k, c
+            images[key] = images.get(key, 0) + (v if rows.sign[r] > 0 else -v)
+    out = {(r, cols.coord[c]): v for (r, c), v in images.items()
+           if v and cols.coord[c] >= 0 and c == cols.reps[cols.coord[c]]}
+    nnz = [0] * len(cols.reps)
+    for (r, c), v in images.items():
+        k = cols.coord[c]
+        if not v:
             continue
-        if k < 0:
-            ok = not img
-        elif cols.sign[x] > 0:
-            ok = img == out[k]
-        else:
-            ok = img == {r: -v for r, v in out[k].items()}
-        if not ok:
-            raise InducedMapNotWellDefined(
-                "differential does not preserve Im(1 - t) at degree %d" % n)
-    return Matrix._trusted(len(rows.reps), len(out),
-                           {(r, k): v for k, img in enumerate(out)
-                            for r, v in img.items()})
+        if k < 0 or out.get((r, k)) != (v if cols.sign[c] > 0 else -v):
+            break
+        nnz[k] += 1
+    else:
+        length = Counter(cols.coord)
+        if all(nnz[k] == length[k] * m
+               for k, m in Counter(k for _, k in out).items()):
+            return Matrix._trusted(len(rows.reps), len(cols.reps), out)
+    raise InducedMapNotWellDefined(
+        "differential does not preserve Im(1 - t) at degree %d" % n)
 
 
 def connes_complex(C: ChainComplex):

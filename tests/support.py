@@ -4,8 +4,9 @@ homology/cohomology window implications for injective chain maps,
 Kronecker products and the kernel span lemma they check, the probing
 kernel basis oracle, coordinates by a solve as the oracle for the
 read-off of Subspace.coords, elimination over Q as the oracle for the
-fraction-free elimination, fixed changes of basis for extensions, and
-dense and section constructors for matrices."""
+fraction-free elimination, fixed changes of basis for extensions, the
+complexes built one degree further as the oracle for the truncation
+degree, and dense and section constructors for matrices."""
 
 import random
 
@@ -13,8 +14,9 @@ from alghom.algebra import Algebra, quotient_extension
 from alghom.complexes import (
     ChainComplex, ChainMap, ShortExactSequenceOfComplexes, check_complex,
     check_ses, connecting_homomorphism, dualize_map,
-    induced_map_on_homology, long_exact_sequence,
+    induced_map_on_homology, long_exact_sequence, require_complex,
 )
+from alghom.hochschild import _build_complex
 from alghom.linalg import (
     Cokernel, Matrix, ONE, Q, Subspace, ZERO, _rref, hstack, kernel_basis,
     rank, solve_many,
@@ -354,3 +356,13 @@ def rebased(ext, S=BASIS_CHANGE):
             for a in range(d) for b in range(d)}
     A = Algebra(d, ["f%d" % k for k in range(d)], mult)
     return quotient_extension(A, S_inv @ ext.i.matrix, ext.B.basis_names)
+
+
+def complex_one_degree_further(A, n_report: int, wrap: bool = True):
+    """The simplicial complex of A (the bar complex when wrap=False) to
+    internal degree n_report + 2, one above hochschild_complex and
+    bar_complex, and checked as they check theirs.  Reports read off it
+    must equal the shipped ones: H_n and H^n for n <= n_report read
+    d_n only up to n = n_report."""
+    return require_complex(_build_complex(A, n_report + 2, wrap),
+                           "simplicial complex" if wrap else "bar complex")

@@ -136,7 +136,7 @@ def test_criterion_8_kernel_span_verification():
             if verify_kernel_span(ext, n) is not None:
                 failures.append((name, n))
         adapted = adapted_extension(ext)
-        sub = kernel_subcomplex(adapted, hochschild_complex(adapted.A, 2)).sub
+        sub = kernel_subcomplex(adapted, hochschild_complex(adapted.A, 3)).sub
         a, b = ext.A.dim, ext.B.dim
         for n in range(sub.top_degree + 1):
             if sub.dims[n] != a ** (n + 1) - (a - b) ** (n + 1):

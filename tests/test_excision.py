@@ -8,7 +8,9 @@ always agree.
 
 import functools
 import gc
+import hashlib
 import json
+import os
 import weakref
 
 import pytest
@@ -28,7 +30,12 @@ from alghom.excision import (
 from alghom.hochschild import adapted_extension
 from alghom.linalg import Matrix
 
-from support import BASIS_CHANGE_DET_4, rebased
+from support import (
+    BASIS_CHANGE_DET_4, complex_one_degree_further, rebased,
+)
+
+DIGESTS = os.path.join(os.path.dirname(__file__), "data",
+                       "report_digests.json")
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,7 +206,7 @@ def test_derived_maps_match_composed_chain_map(name, theory):
     """The candidate sequences take H(C(B) -> C(A)) as H(incl) @ H(comp)
     and its dual as H(dual comp) @ H(dual incl).  Both equal the maps
     induced by the coordinate chain map incl o comp, composed here."""
-    td = build_theory(adapted_extension(build(name)), 1, theory)
+    td = build_theory(adapted_extension(build(name)), 2, theory)
     ba = ChainMap(td.CB, td.CA, [i @ c for i, c in zip(td.incl.components,
                                                        td.comp.components)])
     assert check_chain_map(ba) is None
@@ -239,6 +246,47 @@ def test_report_json_compatible_and_deterministic():
     r1 = excision_report(build("split_product"), 3)
     r2 = excision_report(build("split_product"), 3)
     assert json.dumps(r1) == json.dumps(r2)
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_reports_match_recorded_digests():
+    """The sha256 of every corpus report's JSON (sort_keys=True) at
+    degrees 0 to the excision-corpus benchmark's degree (3, or 2 when
+    dim A >= 4), recorded when the complexes were built two degrees
+    above the report degree: the reports stay byte-identical."""
+    with open(DIGESTS) as fh:
+        recorded = json.load(fh)
+    assert sorted(recorded) == sorted(CORPUS)
+    for name, by_degree in sorted(recorded.items()):
+        ext = build(name)
+        top = 3 if ext.A.dim <= 3 else 2
+        assert sorted(by_degree, key=int) == [str(n) for n in range(top + 1)]
+        for n, digest in by_degree.items():
+            assert _digest(excision_report(ext, int(n))) == digest, (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_one_more_degree_changes_no_report(name, monkeypatch):
+    """The report at degree 2 on the complexes built one degree further
+    (complex_one_degree_further) is the shipped one."""
+    ext = build(name)
+    shipped = json.dumps(excision_report(ext, 2), sort_keys=True)
+    built = []
+
+    def further(wrap):
+        def build_complex(A, n, force):
+            built.append(complex_one_degree_further(A, n, wrap))
+            return built[-1]
+        return build_complex
+
+    monkeypatch.setattr(excision, "hochschild_complex", further(True))
+    monkeypatch.setattr(excision, "bar_complex", further(False))
+    assert json.dumps(excision_report(ext, 2), sort_keys=True) == shipped
+    assert [K.top_degree for K in built] == [4, 4]
 
 
 def test_surrogate_note_present():

@@ -25,7 +25,8 @@ from alghom.hochschild import (
 from alghom.linalg import Matrix, ONE, Q, ZERO, kernel_basis, rank
 
 from support import (
-    from_dense, kron_power, rebased, section, verify_kernel_span,
+    complex_one_degree_further, from_dense, kron_power, rebased, section,
+    verify_kernel_span,
 )
 
 
@@ -79,7 +80,7 @@ HALF = Algebra(1, None, {(0, 0): {0: Q(1, 2)}})
 def test_differential_matches_oracle(A, wrap):
     """Every differential up to internal degree 5, on sparse, dense
     (all 9 products nonzero) and non-integral structure constants."""
-    C = hochschild_complex(A, 3) if wrap else bar_complex(A, 3)
+    C = hochschild_complex(A, 4) if wrap else bar_complex(A, 4)
     assert C.top_degree == 5
     for n in range(C.top_degree):
         assert C.diffs[n] == oracle_differential(A, n, wrap)
@@ -99,7 +100,7 @@ def test_integral_preset_builds_int_entries():
 
 
 def test_field_differentials_alternate():
-    C = hochschild_complex(preset("field"), 3)
+    C = hochschild_complex(preset("field"), 4)
     dense = [C.diffs[n].entries.get((0, 0), ZERO) for n in range(C.top_degree)]
     assert dense == [ZERO, ONE, ZERO, ONE, ZERO][:C.top_degree]
 
@@ -151,7 +152,7 @@ def test_cyclic_operator_order():
 def test_cyclic_quotient_dims():
     # CC_0 = C_0 = A; 1 - t_0 = 0
     A = preset("matrix", k=2)
-    CC, orbits = cyclic_complex(A, 2)
+    CC, orbits = cyclic_complex(A, 3)
     assert CC.dims[0] == A.dim
     assert (Matrix.identity(A.dim) - cyclic_operator(A, 0)).is_zero()
     for n, orb in enumerate(orbits):
@@ -177,16 +178,32 @@ PRESETS = {"truncated_poly": {"m": 3}, "upper_triangular": {"k": 2},
 
 @pytest.mark.parametrize(
     "A, n_report",
-    [(adapted_extension(build(name)).A, 1) for name in sorted(CORPUS)]
+    [(adapted_extension(build(name)).A, 2) for name in sorted(CORPUS)]
     + [(preset(name, **params), n) for name, params in PRESETS.items()
-       for n in range(3)],
+       for n in range(4)],
     ids=sorted(CORPUS) + ["%s-%d" % (name, n) for name in PRESETS
-                          for n in range(3)])
+                          for n in range(4)])
 def test_orbit_complex_matches_cokernel_complex(A, n_report):
     CC, _ = cyclic_complex(A, n_report)
     dims, diffs = _cokernel_complex(A, n_report)
     assert CC.dims == dims
     assert CC.diffs == diffs
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_one_more_degree_changes_no_dims(name):
+    """Homology and cohomology dims in degrees 0..n, n <= 3, are the
+    same on the complexes built one degree further, for the simplicial,
+    bar and cyclic theories."""
+    A = preset(name, **PRESETS[name])
+    for n in range(4):
+        further = complex_one_degree_further(A, n)
+        for K, L in [(hochschild_complex(A, n), further),
+                     (bar_complex(A, n), complex_one_degree_further(A, n, False)),
+                     (cyclic_complex(A, n)[0], connes_complex(further)[0])]:
+            assert L.top_degree == K.top_degree + 1
+            assert homology_dims(K, n) == homology_dims(L, n)
+            assert cohomology_dims(K, n) == cohomology_dims(L, n)
 
 
 def _signed_necklaces(d, n):
@@ -223,7 +240,7 @@ def test_trace_is_h0_and_hc0_dual():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_kernel_subcomplex_structure(name):
     ext = adapted_extension(build(name))
-    pieces = kernel_subcomplex(ext, hochschild_complex(ext.A, 2))
+    pieces = kernel_subcomplex(ext, hochschild_complex(ext.A, 3))
     sub, incl, comp = pieces.sub, pieces.incl, pieces.comp
     assert check_complex(sub) is None
     assert check_chain_map(incl) is None
@@ -235,7 +252,7 @@ def test_kernel_subcomplex_structure(name):
 
 def test_kernel_subcomplex_dims_nilpotent_corner():
     ext = adapted_extension(build("nilpotent_corner"))
-    sub = kernel_subcomplex(ext, hochschild_complex(ext.A, 3)).sub
+    sub = kernel_subcomplex(ext, hochschild_complex(ext.A, 4)).sub
     assert sub.dims == [3 ** k - 2 ** k for k in range(1, 7)][:len(sub.dims)]
 
 
@@ -263,9 +280,9 @@ def test_read_off_pieces_match_elimination_oracles(name, theory):
     the original basis: dim Ker(j^(x)(n+1)), or for cyclic the rank of
     its image under the cyclic projection."""
     ext = build(name)
-    C_A, pieces = _pieces(theory, adapted_extension(ext), 1)
+    C_A, pieces = _pieces(theory, adapted_extension(ext), 2)
     for piece, alg in ((pieces.CB, ext.B), (pieces.CD, ext.D)):
-        direct = _direct(theory, alg, 1)[0]
+        direct = _direct(theory, alg, 2)[0]
         assert piece.dims == direct.dims
         assert piece.diffs == direct.diffs
     kernel_dims = []
@@ -300,7 +317,7 @@ def _forbid_elimination(monkeypatch):
 
 
 def test_connes_complex_eliminates_nothing(monkeypatch):
-    C = hochschild_complex(preset("matrix", k=2), 1)
+    C = hochschild_complex(preset("matrix", k=2), 2)
     _forbid_elimination(monkeypatch)
     CC, _ = connes_complex(C)
     assert CC.dims == [4, 6, 24, 66]
@@ -357,6 +374,26 @@ def test_cyclic_sign_flip_is_not_well_defined(flip, monkeypatch):
     C = flip(monkeypatch, hochschild_complex(preset("matrix", k=2), 0))
     assert C.diffs[0].entries[(0, 6)] in (ONE, -ONE)
     with pytest.raises(InducedMapNotWellDefined, match="at degree 0"):
+        connes_complex(C)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("flip", [True, False], ids=["flipped", "dropped"])
+def test_cyclic_defect_above_degree_0_names_its_degree(n, flip):
+    """An entry of d_n, in an alive row orbit and a column that is not
+    its orbit's representative, sign-flipped or dropped: the column is
+    no longer its sign times its orbit's column, and the relabelling
+    refuses it at degree n."""
+    C = hochschild_complex(preset("matrix", k=2), n)
+    rows, cols = rotation_orbits(4, n), rotation_orbits(4, n + 1)
+    ents = dict(C.diffs[n].entries)
+    r, c = next((r, c) for r, c in ents if rows.coord[r] >= 0
+                and cols.coord[c] >= 0 and cols.reps[cols.coord[c]] != c)
+    v = ents.pop((r, c))
+    if flip:
+        ents[r, c] = -v
+    C.diffs[n] = Matrix(C.diffs[n].rows, C.diffs[n].cols, ents)
+    with pytest.raises(InducedMapNotWellDefined, match="at degree %d" % n):
         connes_complex(C)
 
 
