@@ -10,7 +10,7 @@ stop one degree above the top reported one, whose H_n and H^n read d_n.
 Homology bases are echelon-deterministic: the boundary basis is the
 canonical column-space basis of d_n, and representatives are the cycle
 basis columns that extend it, so induced maps are reproducible
-bit-for-bit.
+bit-for-bit.  Dims need no basis, as rank d^T = rank d over Q.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class ChainComplex:
                 raise ValueError("differential %d has shape %dx%d, expected %dx%d"
                                  % (n, d.rows, d.cols, self.dims[n], self.dims[n + 1]))
         self.genuine_top = genuine_top
+        self._checked = False   # set by require_complex once d o d = 0
         self._homology = {}
         self._dual = None
 
@@ -79,8 +80,8 @@ def check_complex(K: ChainComplex):
 
 
 def require_complex(K: ChainComplex, what: str) -> ChainComplex:
-    """K, when check_complex finds no witness; otherwise NotAComplex
-    naming the degree and the witness entry."""
+    """K, recorded as checked, when check_complex finds no witness;
+    otherwise NotAComplex naming the degree and the witness entry."""
     bad = check_complex(K)
     if bad is not None:
         n, witness = bad
@@ -88,6 +89,7 @@ def require_complex(K: ChainComplex, what: str) -> ChainComplex:
                           "entry %s at %r" % (what, n, n, n + 1,
                                               format_q(witness["value"]),
                                               witness["entry"]))
+    K._checked = True
     return K
 
 
@@ -150,7 +152,16 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
 
 
 def homology_dims(K: ChainComplex, n_report: int):
-    return [homology_at(K, n).dim for n in range(n_report + 1)]
+    """dim H_n = dim C_n - rank d_{n-1} - rank d_n for n <= n_report, by
+    one non-reduced elimination per d_k read; ranks cannot see d o d != 0,
+    so a K that require_complex has not passed is checked first."""
+    if n_report > K.top_degree:
+        raise ValueError("degree %d outside the complex, whose top degree "
+                         "is %d" % (K.top_degree + 1, K.top_degree))
+    if not K._checked:
+        require_complex(K, "chain complex")
+    ranks = [0] + [rank(d) for d in K.diffs[:n_report + 1]] + [0]
+    return [K.dims[n] - ranks[n] - ranks[n + 1] for n in range(n_report + 1)]
 
 
 def dualize(K: ChainComplex) -> ChainComplex:
@@ -172,10 +183,9 @@ def dualize(K: ChainComplex) -> ChainComplex:
 
 
 def cohomology_dims(K: ChainComplex, n_report: int):
-    """dim H^n for n = 0..n_report, via the dualized complex."""
-    dual = dualize(K)
-    N = K.top_degree
-    return [homology_at(dual, N - n).dim for n in range(n_report + 1)]
+    """dim H^n for n = 0..n_report: the dual's differentials are the
+    d_n^T, and rank d^T = rank d over Q, so these are homology_dims."""
+    return homology_dims(K, n_report)
 
 
 class ChainMap:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from alghom import complexes, linalg
 from alghom.algebra import preset
-from alghom.hochschild import hochschild_complex
+from alghom.corpus import CORPUS, build
+from alghom.hochschild import bar_complex, cyclic_complex, hochschild_complex
 from alghom.complexes import (
     ChainComplex, ChainMap, DegreeHomology, LiftFailure, NotAComplex,
     ShortExactSequenceOfComplexes, WellDefinednessViolation,
@@ -20,8 +21,8 @@ from alghom.complexes import (
 from alghom.linalg import Matrix, ONE, Q, rank
 
 from support import (
-    from_dense, lemma_vanishing_check, prop_window_check, random_complex,
-    random_ses, snake_check,
+    BASIS_CHANGE, BASIS_CHANGE_DET_4, from_dense, lemma_vanishing_check,
+    prop_window_check, random_complex, random_ses, rebased, snake_check,
 )
 
 
@@ -49,6 +50,44 @@ def test_homology_of_a_non_complex_names_the_degree():
         homology_at(K, 1)
 
 
+@pytest.mark.parametrize("dims", [homology_dims, cohomology_dims])
+def test_dims_of_a_non_complex_raise(dims):
+    """Ranks alone give dims 1 - 0 - 1, 1 - 1 - 1 and 1 - 1 - 0 here; a
+    complex that require_complex has not passed is checked first."""
+    K = ChainComplex([1, 1, 1], [Matrix.identity(1), Matrix.identity(1)])
+    with pytest.raises(NotAComplex, match="at degree 0: d_0 d_1"):
+        dims(K, 2)
+
+
+@pytest.mark.parametrize("dims", [homology_dims, cohomology_dims])
+def test_dims_past_the_top_name_the_first_missing_degree(dims):
+    K = hochschild_complex(preset("matrix", k=2), 2)
+    assert K.top_degree == 3
+    with pytest.raises(ValueError, match="^degree 4 outside the complex, "
+                                         "whose top degree is 3$"):
+        dims(K, 5)
+    assert dims(K, 2) == [1, 0, 0]
+
+
+def test_dims_of_a_built_complex_run_no_product(monkeypatch):
+    """A built complex passed require_complex when it was built, so its
+    dims run no second d o d product."""
+    A = preset("upper_triangular", k=2)
+    built = [hochschild_complex(A, 3), bar_complex(A, 3),
+             cyclic_complex(A, 3)[0]]
+    real, products = Matrix.__matmul__, []
+
+    def counted(self, other):
+        products.append((self.rows, other.cols))
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    for K in built:
+        homology_dims(K, 3)
+        cohomology_dims(K, 3)
+    assert products == []
+
+
 @settings(max_examples=50, deadline=None)
 @given(seeds)
 def test_random_complexes_close(seed):
@@ -62,10 +101,16 @@ def test_homology_dims_match_rank_formula(seed):
     """dim H_n = dim C_n - rank d_{n-1} - rank d_n, with ranks from
     sympy as the independent oracle."""
     K = random_complex(random.Random(seed), 4, 5)
-    for n in range(K.top_degree):
+    formula = []
+    for n in range(K.top_degree + 1):
         r_in = sympy_rank(K.diffs[n - 1]) if n > 0 else 0
-        r_out = sympy_rank(K.diffs[n])
-        assert homology_at(K, n).dim == K.dims[n] - r_in - r_out
+        r_out = sympy_rank(K.diffs[n]) if n < K.top_degree else 0
+        formula.append(K.dims[n] - r_in - r_out)
+        if n < K.top_degree:
+            assert homology_at(K, n).dim == formula[n]
+    for n_report in range(K.top_degree + 1):
+        assert homology_dims(K, n_report) == formula[:n_report + 1]
+        assert cohomology_dims(K, n_report) == formula[:n_report + 1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,13 +141,23 @@ def test_dualize_reverses_and_transposes():
     assert D.genuine_top
 
 
-@pytest.mark.parametrize("first, second", [(homology_dims, cohomology_dims),
-                                           (cohomology_dims, homology_dims)],
+def _homology_bases(K, n_report):
+    return [homology_at(K, n) for n in range(n_report + 1)]
+
+
+def _cohomology_bases(K, n_report):
+    return [homology_at(dualize(K), K.top_degree - n)
+            for n in range(n_report + 1)]
+
+
+@pytest.mark.parametrize("first, second",
+                         [(_homology_bases, _cohomology_bases),
+                          (_cohomology_bases, _homology_bases)],
                          ids=["homology-first", "cohomology-first"])
 def test_dual_shares_rrefs_with_its_complex(first, second, monkeypatch):
     """A dual differential is the transpose of one of K's, and their
-    RREFs are one: whichever side runs first, the other side runs no
-    reduced elimination."""
+    RREFs are one: whichever side's homology bases are built first, the
+    other side runs no reduced elimination."""
     K = hochschild_complex(preset("upper_triangular", k=2), 2)
     real, reduced = linalg._echelon, []
 
@@ -116,6 +171,43 @@ def test_dual_shares_rrefs_with_its_complex(first, second, monkeypatch):
     reduced.clear()
     second(K, 3)
     assert not any(reduced)
+
+
+@pytest.mark.parametrize("first, second", [(homology_dims, cohomology_dims),
+                                           (cohomology_dims, homology_dims)],
+                         ids=["homology-first", "cohomology-first"])
+def test_dims_run_one_rank_per_differential(first, second, monkeypatch):
+    """Dims read one non-reduced elimination on the rows of each d_k
+    they need, d_0..d_n, and the other side reads the ranks recorded on
+    them."""
+    K = hochschild_complex(preset("upper_triangular", k=2), 3)
+    real, runs = linalg._echelon, []
+
+    def counted(rows, ncols, **kwargs):
+        runs.append((len(rows), ncols, kwargs.get("reduce", True)))
+        return real(rows, ncols, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    first(K, 3)
+    assert runs == [(d.rows, d.cols, False) for d in K.diffs[:4]]
+    runs.clear()
+    second(K, 3)
+    assert runs == []
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param(rebased(build(name), S).A, id="%s-%s" % (name, tag))
+    for name in sorted(n for n in CORPUS if build(n).A.dim == 3)
+    for tag, S in [("unimodular", BASIS_CHANGE), ("det4", BASIS_CHANGE_DET_4)]])
+def test_dims_match_the_basis_engine(A):
+    """On dense algebras, the dims read off ranks equal the dims of the
+    homology bases of K and of its dual."""
+    for K in (hochschild_complex(A, 2), bar_complex(A, 2),
+              cyclic_complex(A, 2)[0]):
+        top = K.top_degree
+        assert homology_dims(K, top) == [h.dim for h in _homology_bases(K, top)]
+        assert cohomology_dims(K, top) == [h.dim for h in
+                                           _cohomology_bases(K, top)]
 
 
 def test_dualize_is_cached_and_shared_by_dual_maps():

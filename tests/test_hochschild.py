@@ -2,7 +2,9 @@
 dense oracle, plus hand-checkable dimension tables."""
 
 import itertools
+import json
 import math
+import os
 import time
 
 import pytest
@@ -204,6 +206,39 @@ def test_one_more_degree_changes_no_dims(name):
             assert L.top_degree == K.top_degree + 1
             assert homology_dims(K, n) == homology_dims(L, n)
             assert cohomology_dims(K, n) == cohomology_dims(L, n)
+
+
+DIMS = os.path.join(os.path.dirname(__file__), "data", "homology_dims.json")
+THEORIES = {"hochschild": hochschild_complex, "bar": bar_complex,
+            "cyclic": lambda A, n: cyclic_complex(A, n)[0]}
+
+
+def recorded_algebra(name):
+    """A bench preset by name, else the A of the corpus extension."""
+    if name in PRESETS:
+        return preset(name, **PRESETS[name])
+    return build(name).A
+
+
+def dims_by_theory(A):
+    """homology_dims and cohomology_dims of A's three complexes at each
+    report degree 0 to the excision-corpus benchmark's (3, or 2 when
+    dim A >= 4)."""
+    return {theory: {str(n): {"homology": homology_dims(make(A, n), n),
+                              "cohomology": cohomology_dims(make(A, n), n)}
+                     for n in range(4 if A.dim <= 3 else 3)}
+            for theory, make in THEORIES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(CORPUS))
+def test_dims_match_recorded_oracle(name):
+    """The dims recorded in tests/data/homology_dims.json, taken from
+    the homology and cohomology bases of each complex, for the four
+    bench presets and the A of every corpus extension."""
+    with open(DIMS) as fh:
+        recorded = json.load(fh)
+    assert sorted(recorded) == sorted(set(PRESETS) | set(CORPUS))
+    assert dims_by_theory(recorded_algebra(name)) == recorded[name]
 
 
 def _signed_necklaces(d, n):
