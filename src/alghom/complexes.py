@@ -153,8 +153,9 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
 
 def homology_dims(K: ChainComplex, n_report: int):
     """dim H_n = dim C_n - rank d_{n-1} - rank d_n for n <= n_report, by
-    one non-reduced elimination per d_k read; ranks cannot see d o d != 0,
-    so a K that require_complex has not passed is checked first."""
+    one non-reduced elimination per d_k read.  Ranks cannot see d o d != 0,
+    so a K that require_complex has not passed is checked first, in every
+    degree: NotAComplex also when d o d != 0 only above n_report."""
     if n_report > K.top_degree:
         raise ValueError("degree %d outside the complex, whose top degree "
                          "is %d" % (K.top_degree + 1, K.top_degree))

@@ -6,14 +6,16 @@ kernel basis oracle, coordinates by a solve as the oracle for the
 read-off of Subspace.coords, elimination over Q as the oracle for the
 fraction-free elimination, fixed changes of basis for extensions, the
 complexes built one degree further as the oracle for the truncation
-degree, and dense and section constructors for matrices."""
+degree, homology and cohomology dims read off homology bases as the
+oracle for the dims read off ranks, and dense and section constructors
+for matrices."""
 
 import random
 
 from alghom.algebra import Algebra, quotient_extension
 from alghom.complexes import (
     ChainComplex, ChainMap, ShortExactSequenceOfComplexes, check_complex,
-    check_ses, connecting_homomorphism, dualize_map,
+    check_ses, connecting_homomorphism, dualize, dualize_map, homology_at,
     induced_map_on_homology, long_exact_sequence, require_complex,
 )
 from alghom.hochschild import _build_complex
@@ -366,3 +368,13 @@ def complex_one_degree_further(A, n_report: int, wrap: bool = True):
     d_n only up to n = n_report."""
     return require_complex(_build_complex(A, n_report + 2, wrap),
                            "simplicial complex" if wrap else "bar complex")
+
+
+def basis_dims(K: ChainComplex, n_report: int):
+    """(dim H_n, dim H^n) for n = 0..n_report, read off the homology
+    bases of K and of its dual: the engine the excision report reads,
+    and the oracle for homology_dims and cohomology_dims, which read
+    ranks only."""
+    N = K.top_degree
+    return ([homology_at(K, n).dim for n in range(n_report + 1)],
+            [homology_at(dualize(K), N - n).dim for n in range(n_report + 1)])

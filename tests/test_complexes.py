@@ -21,8 +21,9 @@ from alghom.complexes import (
 from alghom.linalg import Matrix, ONE, Q, rank
 
 from support import (
-    BASIS_CHANGE, BASIS_CHANGE_DET_4, from_dense, lemma_vanishing_check,
-    prop_window_check, random_complex, random_ses, rebased, snake_check,
+    BASIS_CHANGE, BASIS_CHANGE_DET_4, basis_dims, from_dense,
+    lemma_vanishing_check, prop_window_check, random_complex, random_ses,
+    rebased, snake_check,
 )
 
 
@@ -57,6 +58,16 @@ def test_dims_of_a_non_complex_raise(dims):
     K = ChainComplex([1, 1, 1], [Matrix.identity(1), Matrix.identity(1)])
     with pytest.raises(NotAComplex, match="at degree 0: d_0 d_1"):
         dims(K, 2)
+
+
+@pytest.mark.parametrize("dims", [homology_dims, cohomology_dims])
+def test_dims_check_the_whole_of_an_unchecked_complex(dims):
+    """d_1 d_2 != 0 lies above the degree-0 dims, which read d_0 only;
+    the dims still refuse K, as it is not a complex."""
+    K = ChainComplex([1, 1, 1, 1], [Matrix.zero(1, 1), Matrix.identity(1),
+                                    Matrix.identity(1)])
+    with pytest.raises(NotAComplex, match="at degree 1: d_1 d_2"):
+        dims(K, 0)
 
 
 @pytest.mark.parametrize("dims", [homology_dims, cohomology_dims])
@@ -126,10 +137,15 @@ def test_homology_representatives_are_cycles(seed):
 @settings(max_examples=30, deadline=None)
 @given(seeds)
 def test_betti_duality(seed):
-    """dim H^n = dim H_n over Q in every trustworthy degree."""
+    """dim H^n = dim H_n over Q in every trustworthy degree: the
+    homology bases of K and of its dual have the same dims, and they
+    are the dims read off the ranks."""
     K = random_complex(random.Random(seed), 4, 5)
     hi = K.top_degree - 1
-    assert homology_dims(K, hi) == cohomology_dims(K, hi)
+    homology, cohomology = basis_dims(K, hi)
+    assert homology == cohomology
+    assert homology_dims(K, hi) == homology
+    assert cohomology_dims(K, hi) == cohomology
 
 
 def test_dualize_reverses_and_transposes():
@@ -205,9 +221,9 @@ def test_dims_match_the_basis_engine(A):
     for K in (hochschild_complex(A, 2), bar_complex(A, 2),
               cyclic_complex(A, 2)[0]):
         top = K.top_degree
-        assert homology_dims(K, top) == [h.dim for h in _homology_bases(K, top)]
-        assert cohomology_dims(K, top) == [h.dim for h in
-                                           _cohomology_bases(K, top)]
+        homology, cohomology = basis_dims(K, top)
+        assert homology_dims(K, top) == homology
+        assert cohomology_dims(K, top) == cohomology
 
 
 def test_dualize_is_cached_and_shared_by_dual_maps():

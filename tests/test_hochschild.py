@@ -27,8 +27,8 @@ from alghom.hochschild import (
 from alghom.linalg import Matrix, ONE, Q, ZERO, kernel_basis, rank
 
 from support import (
-    complex_one_degree_further, from_dense, kron_power, rebased, section,
-    verify_kernel_span,
+    basis_dims, complex_one_degree_further, from_dense, kron_power, rebased,
+    section, verify_kernel_span,
 )
 
 
@@ -124,6 +124,7 @@ def test_cstar_three_summands_closed_forms():
                       (bar_complex(A, 2), [0, 0, 0])]:
         assert homology_dims(K, 2) == closed
         assert cohomology_dims(K, 2) == closed
+        assert basis_dims(K, 2) == (closed, closed)
 
 
 def test_cyclic_field_alternation():
@@ -206,6 +207,7 @@ def test_one_more_degree_changes_no_dims(name):
             assert L.top_degree == K.top_degree + 1
             assert homology_dims(K, n) == homology_dims(L, n)
             assert cohomology_dims(K, n) == cohomology_dims(L, n)
+            assert basis_dims(K, n) == basis_dims(L, n)
 
 
 DIMS = os.path.join(os.path.dirname(__file__), "data", "homology_dims.json")
@@ -267,9 +269,8 @@ def test_trace_space_dims():
 def test_trace_is_h0_and_hc0_dual():
     for A in SMALL:
         tr = trace_space(A).dim
-        assert cohomology_dims(hochschild_complex(A, 1), 0) == [tr]
-        CC, _ = cyclic_complex(A, 1)
-        assert cohomology_dims(CC, 0) == [tr]
+        for K in (hochschild_complex(A, 1), cyclic_complex(A, 1)[0]):
+            assert cohomology_dims(K, 0) == basis_dims(K, 0)[1] == [tr]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
