@@ -10,7 +10,10 @@ stop one degree above the top reported one, whose H_n and H^n read d_n.
 Homology bases are echelon-deterministic: the boundary basis is the
 canonical column-space basis of d_n, and representatives are the cycle
 basis columns that extend it, so induced maps are reproducible
-bit-for-bit.  Dims need no basis, as rank d^T = rank d over Q.
+bit-for-bit.  They are picked in cycle coordinates (extending_columns),
+which needs d_{n-1} d_n = 0: require_complex's record carries it to a
+dual and to closure-checked pieces, and homology_at checks it on any
+other complex.  Dims need no basis, as rank d^T = rank d over Q.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (
-    Matrix, Subspace, hstack, exactness_defect,
-    format_q, image_basis, kernel_basis, pivot_columns, rank, solve_many,
+    Matrix, Subspace, hstack, exactness_defect, extending_columns,
+    format_q, image_basis, kernel_basis, rank, solve_many,
 )
 
 
@@ -46,7 +49,7 @@ class ChainComplex:
     d_n: C_{n+1} -> C_n, so len(diffs) == len(dims) - 1.
     """
 
-    def __init__(self, dims, diffs, genuine_top=False):
+    def __init__(self, dims, diffs, genuine_top=False, checked=False):
         self.dims = list(dims)
         self.diffs = list(diffs)
         if len(self.diffs) != max(len(self.dims) - 1, 0):
@@ -56,7 +59,7 @@ class ChainComplex:
                 raise ValueError("differential %d has shape %dx%d, expected %dx%d"
                                  % (n, d.rows, d.cols, self.dims[n], self.dims[n + 1]))
         self.genuine_top = genuine_top
-        self._checked = False   # set by require_complex once d o d = 0
+        self._checked = checked   # d o d = 0 known: require_complex sets it
         self._homology = {}
         self._dual = None
 
@@ -68,10 +71,10 @@ class ChainComplex:
         return "ChainComplex(dims=%r)" % (self.dims,)
 
 
-def check_complex(K: ChainComplex):
-    """Verify d_n o d_{n+1} = 0 for every degree; returns None when the
-    complex is valid, else (degree, witness_entry)."""
-    for n in range(len(K.diffs) - 1):
+def check_complex(K: ChainComplex, degrees=None):
+    """Verify d_n o d_{n+1} = 0 for every degree n, or those in degrees;
+    returns None when they hold, else (degree, witness_entry)."""
+    for n in range(len(K.diffs) - 1) if degrees is None else degrees:
         comp = K.diffs[n] @ K.diffs[n + 1]
         if not comp.is_zero():
             key = sorted(comp.entries)[0]
@@ -122,32 +125,23 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
     if got is not None:
         return got
     if not 0 <= n <= K.top_degree:
-        raise ValueError("degree %d outside the complex" % n)
+        raise ValueError("degree %d outside the complex, whose top degree "
+                         "is %d" % (n, K.top_degree))
     if n == 0:
         cycles = Subspace(K.dims[0], Matrix.identity(K.dims[0]),
                           coordinate_rows=tuple(range(K.dims[0])))
     else:
         cycles = kernel_basis(K.diffs[n - 1])
     if n < len(K.diffs):
+        if n and not K._checked and check_complex(K, [n - 1]):
+            raise NotAComplex("boundaries at degree %d are not cycles: "
+                              "d_%d d_%d != 0" % (n, n - 1, n))
         boundaries = image_basis(K.diffs[n])
     else:
         boundaries = Subspace(K.dims[n], Matrix.zero(K.dims[n], 0),
                               coordinate_rows=())
-    # representatives: cycle columns that extend the boundary basis,
-    # chosen by echelon pivots on [boundaries | cycles]
-    combined = hstack([boundaries.basis, cycles.basis])
-    nb = boundaries.dim
-    chosen = [c - nb for c in pivot_columns(combined) if c >= nb]
-    cyc_cols = cycles.basis.column_dicts()
-    reps = Matrix.from_columns(K.dims[n], [cyc_cols[c] for c in chosen])
-    got = DegreeHomology(dim=cycles.dim - boundaries.dim,
-                         boundary_basis=boundaries, rep_basis=reps)
-    if got.dim != reps.cols:
-        raise NotAComplex(
-            "homology basis inconsistent at degree %d: %d cycles and %d "
-            "boundaries but %d representatives, so some boundary is not a "
-            "cycle" % (n, cycles.dim, boundaries.dim, reps.cols))
-    K._homology[n] = got
+    reps = extending_columns(cycles, boundaries.basis)
+    got = K._homology[n] = DegreeHomology(reps.cols, boundaries, reps)
     return got
 
 
@@ -179,7 +173,8 @@ def dualize(K: ChainComplex) -> ChainComplex:
         N = K.top_degree
         dims = [K.dims[N - m] for m in range(N + 1)]
         diffs = [K.diffs[N - 1 - m].transpose() for m in range(N)]
-        K._dual = ChainComplex(dims, diffs, genuine_top=True)
+        K._dual = ChainComplex(dims, diffs, genuine_top=True,
+                               checked=K._checked)
     return K._dual
 
 

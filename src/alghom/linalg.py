@@ -28,7 +28,9 @@ whichever rows become pivot rows and in whatever order the rows come,
 so identical inputs give bit-identical bases, equal to those of
 elimination over Q.  Without reduction only the pivot columns are read:
 they are the rank-increasing columns, also independent of the pivot
-rows and of the row order.
+rows and of the row order.  As a row space has one RREF, an RREF read
+off its rank-increasing rows alone (_shared_rref) is the same, entry
+types included.
 """
 
 from __future__ import annotations
@@ -122,18 +124,12 @@ class Matrix:
     # -- views --------------------------------------------------------
 
     def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+        return _lines(self, True)
 
     def column_dicts(self):
         cols = self._cache.get("cols")
         if cols is None:
-            cols = [dict() for _ in range(self.cols)]
-            for (r, c), v in self.entries.items():
-                cols[c][r] = v
-            self._cache["cols"] = cols
+            cols = self._cache["cols"] = _lines(self, False)
         return cols
 
     def column(self, c: int) -> dict:
@@ -231,7 +227,7 @@ def hstack(mats) -> Matrix:
         for (r, c), v in m.entries.items():
             ents[(r, c + off)] = v
         off += m.cols
-    return Matrix(rows, off, ents)
+    return Matrix._trusted(rows, off, ents)
 
 
 # -- elimination core ------------------------------------------------
@@ -328,33 +324,44 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
     return pivots, leftover
 
 
-def _shared_rref(M: Matrix, key: str, rows, ncols: int):
-    """The RREF cached on M under key: "rref" of its rows or "rref_t"
-    of its columns.  The RREF of a transpose's rows is the RREF of its
-    source's columns and the other way round, so a transpose reads and
-    writes its source's cache under the swapped key, and whichever side
-    eliminates first serves both.  Either side records "rank" with it."""
+def _lines(M: Matrix, by_rows: bool, keep=None):
+    """M's rows (by_rows) or columns as dicts, only those at the
+    indices keep when given, in one pass over its entries."""
+    n = M.rows if by_rows else M.cols
+    lines = [None] * n
+    for i in range(n) if keep is None else keep:
+        lines[i] = {}
+    i, j = (0, 1) if by_rows else (1, 0)
+    for key, v in M.entries.items():
+        line = lines[key[i]]
+        if line is not None:
+            line[key[j]] = v
+    return lines if keep is None else [lines[i] for i in keep]
+
+
+def _shared_rref(M: Matrix, key: str):
+    """The RREF "rref" of M's rows or "rref_t" of its columns, cached
+    with the rank; a transpose asks its source under the swapped key.
+    It is eliminated from the rank-increasing lines: the pivot columns
+    of the other side's cached RREF, else of one non-reduced pass over
+    the other side when it has fewer lines; else from every line.  A
+    row space has one RREF, so all three agree."""
     got = M._cache.get(key)
     if got is None:
+        by_rows = key == "rref"
+        swapped = "rref_t" if by_rows else "rref"
         source = M._cache.get("transpose_of")
-        swapped = "rref_t" if key == "rref" else "rref"
         if source is not None:
-            got = source._cache.get(swapped)
-        if got is None:
-            got = _echelon(rows(), ncols, reduce=True)
+            got = _shared_rref(source, swapped)
+        else:
+            mine, other = (M.rows, M.cols) if by_rows else (M.cols, M.rows)
+            basis = M._cache.get(swapped)
+            if basis is None and other < mine:
+                basis = _echelon(_lines(M, not by_rows), mine, reduce=False)
+            keep = None if basis is None else [c for c, _ in basis[0]]
+            got = _echelon(_lines(M, by_rows, keep), other, reduce=True)
         M._cache[key], M._cache["rank"] = got, len(got[0])
-        if source is not None:
-            source._cache[swapped], source._cache["rank"] = got, len(got[0])
     return got
-
-
-def _rref_of_transpose(M: Matrix):
-    """Cached RREF of the transpose (rows = columns of M)."""
-    return _shared_rref(M, "rref_t", lambda: M.transpose().row_dicts(), M.rows)
-
-
-def _rref(M: Matrix):
-    return _shared_rref(M, "rref", M.row_dicts, M.cols)
 
 
 # -- subspaces -------------------------------------------------------
@@ -417,13 +424,6 @@ class Cokernel:
 # -- the public operations -------------------------------------------
 
 
-def pivot_columns(M: Matrix):
-    """Columns of M that successively increase the rank: the pivot
-    columns of the row echelon form, which no choice of pivot row moves."""
-    pivots, _ = _echelon(M.row_dicts(), M.cols, reduce=False)
-    return [c for c, _ in pivots]
-
-
 def rank(M: Matrix) -> int:
     """The "rank" recorded on M or its transpose source, else by pivots."""
     got = M._cache.get("rank")
@@ -432,14 +432,36 @@ def rank(M: Matrix) -> int:
         if source is not None:
             got = source._cache.get("rank")
         if got is None:
-            got = len(pivot_columns(M)) if M.entries else 0
+            got = (len(_echelon(M.row_dicts(), M.cols, reduce=False)[0])
+                   if M.entries else 0)
         M._cache["rank"] = got
     return got
 
 
+def extending_columns(Z: Subspace, B: Matrix) -> Matrix:
+    """The columns of Z's basis that extend B, a basis inside Z: column
+    j when outside the span of B and of columns 0..j-1, as the pivot
+    columns of hstack([B, Z.basis]) pick them.  B's coordinates in Z are
+    its entries at Z's coordinate rows, and column j is in that span iff
+    some combination of them ends at coordinate j: a pivot column of one
+    non-reduced elimination of them with the coordinates reversed."""
+    m, index = Z.dim, Z._row_index
+    if B.cols == m:             # B spans Z: no column extends it
+        return Matrix.zero(Z.ambient_dim, 0)
+    rows = [{} for _ in range(B.cols)]
+    for (r, c), v in B.entries.items():
+        k = index.get(r)
+        if k is not None:
+            rows[c][m - 1 - k] = v
+    last = {m - 1 - c for c, _ in _echelon(rows, m, reduce=False)[0]}
+    at = {j: k for k, j in enumerate(j for j in range(m) if j not in last)}
+    return Matrix._trusted(Z.ambient_dim, len(at), {
+        (r, at[c]): v for (r, c), v in Z.basis.entries.items() if c in at})
+
+
 def kernel_basis(M: Matrix) -> Subspace:
     """Echelon-deterministic basis of {x : Mx = 0}."""
-    pivots, _ = _rref(M)
+    pivots, _ = _shared_rref(M, "rref")
     pivot_cols = {c for c, _ in pivots}
     free_cols = [c for c in range(M.cols) if c not in pivot_cols]
     free_index = {f: k for k, f in enumerate(free_cols)}
@@ -451,15 +473,17 @@ def kernel_basis(M: Matrix) -> Subspace:
             k = free_index.get(f)
             if k is not None:
                 columns[k][pc] = -w
-    return Subspace(M.cols, Matrix.from_columns(M.cols, columns),
+    ents = {(r, k): v for k, col in enumerate(columns) for r, v in col.items()}
+    return Subspace(M.cols, Matrix._trusted(M.cols, len(columns), ents),
                     coordinate_rows=tuple(free_cols))
 
 
 def image_basis(M: Matrix) -> Subspace:
     """Echelon-deterministic basis of the column space."""
-    pivots, _ = _rref_of_transpose(M)
-    columns = [dict(row) for _, row in pivots]
-    return Subspace(M.rows, Matrix.from_columns(M.rows, columns),
+    pivots, _ = _shared_rref(M, "rref_t")
+    ents = {(r, k): v for k, (_, row) in enumerate(pivots)
+            for r, v in row.items()}
+    return Subspace(M.rows, Matrix._trusted(M.rows, len(pivots), ents),
                     coordinate_rows=tuple(c for c, _ in pivots))
 
 

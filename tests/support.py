@@ -7,21 +7,24 @@ read-off of Subspace.coords, elimination over Q as the oracle for the
 fraction-free elimination, fixed changes of basis for extensions, the
 complexes built one degree further as the oracle for the truncation
 degree, homology and cohomology dims read off homology bases as the
-oracle for the dims read off ranks, and dense and section constructors
-for matrices."""
+oracle for the dims read off ranks, the RREF of every line as the
+oracle for the RREF of the rank-increasing lines, representatives
+picked on [boundaries | cycles] as the oracle for the pick in cycle
+coordinates, and dense and section constructors for matrices."""
 
 import random
 
-from alghom.algebra import Algebra, quotient_extension
+from alghom.algebra import Algebra, preset, quotient_extension
 from alghom.complexes import (
     ChainComplex, ChainMap, ShortExactSequenceOfComplexes, check_complex,
     check_ses, connecting_homomorphism, dualize, dualize_map, homology_at,
     induced_map_on_homology, long_exact_sequence, require_complex,
 )
+from alghom.corpus import _coordinate_ideal
 from alghom.hochschild import _build_complex
 from alghom.linalg import (
-    Cokernel, Matrix, ONE, Q, Subspace, ZERO, _rref, hstack, kernel_basis,
-    rank, solve_many,
+    Cokernel, Matrix, ONE, Q, Subspace, ZERO, _echelon, _shared_rref, hstack,
+    kernel_basis, rank, solve_many,
 )
 
 
@@ -139,7 +142,7 @@ def kernel_basis_by_probing(M: Matrix) -> Subspace:
     """kernel_basis by a double loop over the RREF: each free column
     probes every pivot row for its entry.  The oracle for the one-pass
     walk of kernel_basis."""
-    pivots, _ = _rref(M)
+    pivots, _ = _shared_rref(M, "rref")
     pivot_cols = {c for c, _ in pivots}
     free_cols = [c for c in range(M.cols) if c not in pivot_cols]
     columns = []
@@ -360,6 +363,13 @@ def rebased(ext, S=BASIS_CHANGE):
     return quotient_extension(A, S_inv @ ext.i.matrix, ext.B.basis_names)
 
 
+def m3_plus_q():
+    """The C*-case of the paper at its smallest non-commutative size:
+    A = M_3(Q) (+) Q with B = M_3(Q), D = Q."""
+    return _coordinate_ideal(preset("direct_sum", a=preset("matrix", k=3),
+                                    b=preset("field")), range(9))
+
+
 def complex_one_degree_further(A, n_report: int, wrap: bool = True):
     """The simplicial complex of A (the bar complex when wrap=False) to
     internal degree n_report + 2, one above hochschild_complex and
@@ -378,3 +388,47 @@ def basis_dims(K: ChainComplex, n_report: int):
     N = K.top_degree
     return ([homology_at(K, n).dim for n in range(n_report + 1)],
             [homology_at(dualize(K), N - n).dim for n in range(n_report + 1)])
+
+
+def rref_of_every_line(M: Matrix, key: str):
+    """The RREF of all of M's rows (key "rref") or of all its columns
+    ("rref_t"), by one reduced elimination of every line in index
+    order: the oracle for linalg._shared_rref, which eliminates only the
+    rank-increasing lines."""
+    by_rows = key == "rref"
+    lines = [{} for _ in range(M.rows if by_rows else M.cols)]
+    for (r, c), v in sorted(M.entries.items()):
+        if by_rows:
+            lines[r][c] = v
+        else:
+            lines[c][r] = v
+    return _echelon(lines, M.cols if by_rows else M.rows, reduce=True)
+
+
+def typed_rref(rref):
+    """An RREF as (pivot column, [(column, value, type name)]) in column
+    order, so that equal RREFs compare equal in their entry types too."""
+    pivots, leftover = rref
+    return ([(c, [(k, v, type(v).__name__) for k, v in sorted(row.items())])
+             for c, row in pivots], leftover)
+
+
+def rep_basis_on_hstack(K: ChainComplex, n: int) -> Matrix:
+    """The representatives of H_n(K) picked the way homology_at picked
+    them before the pick moved to cycle coordinates: the cycle columns
+    among the pivot columns of one non-reduced elimination of
+    [boundaries | cycles] in C_n.  The oracle for
+    linalg.extending_columns."""
+    if n == 0:
+        cycles = Matrix.identity(K.dims[0])
+    else:
+        cycles = kernel_basis(K.diffs[n - 1]).basis
+    image = (rref_of_every_line(K.diffs[n], "rref_t")[0]
+             if n < len(K.diffs) else [])
+    boundaries = Matrix.from_columns(K.dims[n], [row for _, row in image])
+    combined = hstack([boundaries, cycles])
+    nb = boundaries.cols
+    pivots, _ = _echelon(combined.row_dicts(), combined.cols, reduce=False)
+    columns = cycles.column_dicts()
+    return Matrix.from_columns(K.dims[n], [columns[c - nb]
+                                           for c, _ in pivots if c >= nb])

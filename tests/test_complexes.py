@@ -51,6 +51,33 @@ def test_homology_of_a_non_complex_names_the_degree():
         homology_at(K, 1)
 
 
+def test_dual_of_a_non_complex_raises():
+    """The dual of an unchecked complex is unchecked, and its homology
+    checks the product it reads: (d_0 d_1)^T != 0."""
+    K = ChainComplex([1, 1, 1], [Matrix.identity(1), Matrix.identity(1)])
+    assert not dualize(K)._checked
+    with pytest.raises(NotAComplex, match="at degree 1"):
+        homology_at(dualize(K), 1)
+
+
+def test_homology_checks_a_non_complex_whose_counts_agree():
+    """d_0 d_1 != 0, yet the boundary (1, 1) has the cycle coordinate 1
+    at the free row of Ker d_0, so one cycle, one boundary and no
+    representative look consistent: only the product check sees it."""
+    K = ChainComplex([1, 2, 1], [from_dense([[1, 0]]), from_dense([[1], [1]])])
+    with pytest.raises(NotAComplex, match="^boundaries at degree 1 are not "
+                                          r"cycles: d_0 d_1 != 0$"):
+        homology_at(K, 1)
+
+
+def test_homology_past_the_top_names_the_top_degree():
+    K = hochschild_complex(preset("matrix", k=2), 2)
+    for n in (4, -1):
+        with pytest.raises(ValueError, match="^degree %d outside the complex, "
+                                             "whose top degree is 3$" % n):
+            homology_at(K, n)
+
+
 @pytest.mark.parametrize("dims", [homology_dims, cohomology_dims])
 def test_dims_of_a_non_complex_raise(dims):
     """Ranks alone give dims 1 - 0 - 1, 1 - 1 - 1 and 1 - 1 - 0 here; a

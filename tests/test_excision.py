@@ -31,7 +31,7 @@ from alghom.hochschild import adapted_extension
 from alghom.linalg import Matrix
 
 from support import (
-    BASIS_CHANGE_DET_4, complex_one_degree_further, rebased,
+    BASIS_CHANGE_DET_4, complex_one_degree_further, m3_plus_q, rebased,
 )
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data",
@@ -253,18 +253,30 @@ def _digest(report) -> str:
         json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+# degrees recorded beyond the excision-corpus benchmark's: one more on
+# three corpus entries, and the C*-case M_3(Q) + Q with B = M_3
+WIDER_DIGESTS = {"matrix_block": [3], "full_ideal": [4],
+                 "nilpotent_augmentation": [5], "M3(Q)+Q": [2]}
+
+
 def test_reports_match_recorded_digests():
     """The sha256 of every corpus report's JSON (sort_keys=True) at
     degrees 0 to the excision-corpus benchmark's degree (3, or 2 when
     dim A >= 4), recorded when the complexes were built two degrees
-    above the report degree: the reports stay byte-identical."""
+    above the report degree, and at the WIDER_DIGESTS degrees, recorded
+    before homology bases were read off the pivot columns: the reports
+    stay byte-identical."""
     with open(DIGESTS) as fh:
         recorded = json.load(fh)
-    assert sorted(recorded) == sorted(CORPUS)
+    builders = {name: functools.partial(build, name) for name in CORPUS}
+    builders["M3(Q)+Q"] = m3_plus_q
+    assert sorted(recorded) == sorted(builders)
     for name, by_degree in sorted(recorded.items()):
-        ext = build(name)
+        ext = builders[name]()
         top = 3 if ext.A.dim <= 3 else 2
-        assert sorted(by_degree, key=int) == [str(n) for n in range(top + 1)]
+        degrees = list(range(top + 1)) if name in CORPUS else []
+        assert sorted(by_degree, key=int) == [
+            str(n) for n in degrees + WIDER_DIGESTS.get(name, [])]
         for n, digest in by_degree.items():
             assert _digest(excision_report(ext, int(n))) == digest, (name, n)
 

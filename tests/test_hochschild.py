@@ -9,12 +9,13 @@ import time
 
 import pytest
 
-from alghom import hochschild, linalg
+from alghom import complexes, hochschild, linalg
 from alghom.algebra import (
     Algebra, AlgebraHom, Extension, preset, validate_extension,
 )
 from alghom.complexes import (
-    check_chain_map, check_complex, cohomology_dims, homology_dims,
+    check_chain_map, check_complex, cohomology_dims, dualize, homology_at,
+    homology_dims,
 )
 from alghom.corpus import CORPUS, build
 from alghom.hochschild import (
@@ -28,7 +29,7 @@ from alghom.linalg import Matrix, ONE, Q, ZERO, kernel_basis, rank
 
 from support import (
     basis_dims, complex_one_degree_further, from_dense, kron_power, rebased,
-    section, verify_kernel_span,
+    rep_basis_on_hstack, section, verify_kernel_span,
 )
 
 
@@ -330,6 +331,48 @@ def test_read_off_pieces_match_elimination_oracles(name, theory):
     assert pieces.sub.dims == kernel_dims
     for psi in (pieces.incl, pieces.comp, pieces.map_ad):
         assert check_chain_map(psi) is None
+
+
+def _report_complexes(pieces):
+    """C(A), Ker, C(B) and C(D) of a theory, and their duals: the
+    complexes whose homology bases excision_report reads."""
+    Ks = [pieces.CA, pieces.sub, pieces.CB, pieces.CD]
+    return Ks + [dualize(K) for K in Ks]
+
+
+@pytest.mark.parametrize("theory", ["simplicial", "bar", "cyclic"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_representatives_match_the_pick_on_boundaries_and_cycles(
+        name, theory):
+    """The representatives picked in cycle coordinates are the ones the
+    pivot columns of [boundaries | cycles] pick, entry types included,
+    in every degree of every complex the report reads."""
+    _, pieces = _pieces(theory, adapted_extension(build(name)), 2)
+    for K in _report_complexes(pieces):
+        for n in range(K.top_degree + 1):
+            got, want = homology_at(K, n).rep_basis, rep_basis_on_hstack(K, n)
+            assert got == want, (K, n)
+            assert ({k: type(v) for k, v in got.entries.items()}
+                    == {k: type(v) for k, v in want.entries.items()})
+
+
+@pytest.mark.parametrize("theory", ["simplicial", "bar", "cyclic"])
+def test_pieces_and_duals_carry_the_check_record(theory, monkeypatch):
+    """Ker, C(B) and C(D) are closure-checked pieces of a checked C(A),
+    and a dual of a checked complex is a complex: each carries the
+    record of require_complex, so their homology bases check no d o d
+    product again."""
+    _, pieces = _pieces(theory, adapted_extension(build("two_of_three")), 2)
+    Ks = _report_complexes(pieces)
+    assert [K._checked for K in Ks] == [True] * 8
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("checked a complex again")
+
+    monkeypatch.setattr(complexes, "check_complex", forbidden)
+    for K in Ks:
+        for n in range(K.top_degree + 1):
+            homology_at(K, n)
 
 
 @pytest.mark.parametrize("theory", ["simplicial", "cyclic"])

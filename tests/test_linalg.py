@@ -20,7 +20,7 @@ from alghom.hochschild import bar_complex, cyclic_complex, hochschild_complex
 from alghom import linalg
 from alghom.linalg import (
     Matrix, ONE, Q, ZERO, _echelon,
-    _rref_of_transpose,
+    _shared_rref,
     cokernel, exactness_defect, format_q, hstack, image_basis, kernel_basis,
     parse_q, rank, solve, solve_many,
 )
@@ -28,7 +28,7 @@ from alghom.linalg import (
 from support import (
     BASIS_CHANGE, BASIS_CHANGE_DET_4, basis_dims, coords_by_solve,
     echelon_over_q, from_dense, kernel_basis_by_probing, kron, kron_power,
-    rebased, section,
+    rebased, rref_of_every_line, section, typed_rref,
 )
 
 
@@ -272,7 +272,7 @@ def test_coords_rejects_non_members(M, seed):
 def cokernel_projection_oracle(M):
     """Reference projection: for each free coordinate, look it up in
     every pivot row of the RREF (free coordinates x pivots)."""
-    pivots, _ = _rref_of_transpose(M)
+    pivots, _ = _shared_rref(M, "rref_t")
     pivot_set = {c for c, _ in pivots}
     free_coords = [q for q in range(M.rows) if q not in pivot_set]
     ents = {}
@@ -557,3 +557,63 @@ def test_rank_of_a_reduced_matrix_or_its_transpose_eliminates_nothing(
 
     monkeypatch.setattr(linalg, "_echelon", forbidden)
     assert (rank(M), rank(early), rank(M.transpose())) == (2, 2, 2)
+
+
+def rref_matrices():
+    """Seeded random Q and int matrices, wide, tall and square, and the
+    differentials of three complexes: integral ones of presets and
+    rational ones of a dense rebased algebra."""
+    rng = random.Random(20261020)
+    mats = []
+    for _ in range(40):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        mats.append(random_matrix(rng, rows, cols,
+                                  density=rng.choice([0.2, 0.5, 0.9])))
+        mats.append(from_dense(integer_rows(rng, rows, cols), rows, cols))
+    dense = rebased(build("nilpotent_corner"), BASIS_CHANGE_DET_4).A
+    for K in (hochschild_complex(preset("matrix", k=2), 2),
+              bar_complex(preset("upper_triangular", k=2), 2),
+              cyclic_complex(dense, 2)[0]):
+        mats += K.diffs
+    return mats
+
+
+@pytest.mark.parametrize("key", ["rref", "rref_t"])
+def test_rref_of_the_rank_increasing_lines_is_the_rref_of_every_line(
+        key, monkeypatch):
+    """_shared_rref gives the RREF of every line, with the same pivots,
+    entries and entry types, whether nothing is cached, the other
+    side's RREF is, or the other side's RREF is cached on the transpose
+    partner.  With the other side cached, or shorter and eliminated
+    non-reduced first, it reduces only the rank-increasing lines."""
+    other = "rref_t" if key == "rref" else "rref"
+    real, runs = linalg._echelon, []
+
+    def counted(rows, ncols, **kwargs):
+        runs.append((len(rows), kwargs["reduce"]))
+        return real(rows, ncols, **kwargs)
+
+    for M in rref_matrices():
+        want = typed_rref(rref_of_every_line(M, key))
+        r = len(want[0])
+        lines, across = (M.rows, M.cols) if key == "rref" else (M.cols, M.rows)
+        fresh = Matrix(M.rows, M.cols, M.entries)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_echelon", counted)
+            assert typed_rref(_shared_rref(fresh, key)) == want
+        assert runs == ([(across, False), (r, True)] if across < lines
+                        else [(lines, True)])
+        assert rank(fresh) == r
+        runs.clear()
+        fresh = Matrix(M.rows, M.cols, M.entries)
+        _shared_rref(fresh, other)
+        source = Matrix(M.cols, M.rows,
+                        {(c, r): v for (r, c), v in M.entries.items()})
+        _shared_rref(source, key)       # its transpose's other side
+        partner = source.transpose()
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_echelon", counted)
+            assert typed_rref(_shared_rref(fresh, key)) == want
+            assert typed_rref(_shared_rref(partner, key)) == want
+        assert runs == [(r, True), (r, True)]
+        runs.clear()
