@@ -414,11 +414,10 @@ def typed_rref(rref):
 
 
 def rep_basis_on_hstack(K: ChainComplex, n: int) -> Matrix:
-    """The representatives of H_n(K) picked the way homology_at picked
-    them before the pick moved to cycle coordinates: the cycle columns
-    among the pivot columns of one non-reduced elimination of
-    [boundaries | cycles] in C_n.  The oracle for
-    linalg.extending_columns."""
+    """The representatives of H_n(K) as the cycle columns among the
+    pivot columns of one non-reduced elimination of [boundaries |
+    cycles] in C_n: the oracle for linalg.extending_columns, which
+    picks them in cycle coordinates."""
     if n == 0:
         cycles = Matrix.identity(K.dims[0])
     else:
