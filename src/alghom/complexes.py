@@ -49,7 +49,7 @@ class ChainComplex:
     d_n: C_{n+1} -> C_n, so len(diffs) == len(dims) - 1.
     """
 
-    def __init__(self, dims, diffs, genuine_top=False, checked=False):
+    def __init__(self, dims, diffs, genuine_top=False):
         self.dims = list(dims)
         self.diffs = list(diffs)
         if len(self.diffs) != max(len(self.dims) - 1, 0):
@@ -59,7 +59,7 @@ class ChainComplex:
                 raise ValueError("differential %d has shape %dx%d, expected %dx%d"
                                  % (n, d.rows, d.cols, self.dims[n], self.dims[n + 1]))
         self.genuine_top = genuine_top
-        self._checked = checked   # d o d = 0 known: require_complex sets it
+        self._checked = False   # d o d = 0 known: require_complex sets it
         self._homology = {}
         self._dual = None
 
@@ -141,8 +141,7 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
         boundaries = Subspace(K.dims[n], Matrix.zero(K.dims[n], 0),
                               coordinate_rows=())
     reps = extending_columns(cycles, boundaries.basis)
-    got = K._homology[n] = DegreeHomology(reps.cols, boundaries, reps)
-    return got
+    return K._homology.setdefault(n, DegreeHomology(reps.cols, boundaries, reps))
 
 
 def homology_dims(K: ChainComplex, n_report: int):
@@ -173,8 +172,8 @@ def dualize(K: ChainComplex) -> ChainComplex:
         N = K.top_degree
         dims = [K.dims[N - m] for m in range(N + 1)]
         diffs = [K.diffs[N - 1 - m].transpose() for m in range(N)]
-        K._dual = ChainComplex(dims, diffs, genuine_top=True,
-                               checked=K._checked)
+        K._dual = ChainComplex(dims, diffs, genuine_top=True)
+        K._dual._checked = K._checked
     return K._dual
 
 

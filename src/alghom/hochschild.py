@@ -316,7 +316,9 @@ def _restrict(K: ChainComplex, keep, sub: bool = True):
                 raise ClosureViolation(
                     "differential leaves the subcomplex at degree %d" % n)
         diffs.append(Matrix._trusted(len(keep[n]), len(keep[n + 1]), ents))
-    return ChainComplex([len(k) for k in keep], diffs, checked=K._checked)
+    piece = ChainComplex([len(k) for k in keep], diffs)
+    piece._checked = K._checked
+    return piece
 
 
 def _coordinate_map(source, target, positions, project=False) -> ChainMap:

@@ -127,10 +127,9 @@ class Matrix:
         return _lines(self, True)
 
     def column_dicts(self):
-        cols = self._cache.get("cols")
-        if cols is None:
-            cols = self._cache["cols"] = _lines(self, False)
-        return cols
+        if "cols" not in self._cache:
+            self._cache["cols"] = _lines(self, False)
+        return self._cache["cols"]
 
     def column(self, c: int) -> dict:
         return dict(self.column_dicts()[c])
@@ -342,10 +341,10 @@ def _lines(M: Matrix, by_rows: bool, keep=None):
 def _shared_rref(M: Matrix, key: str):
     """The RREF "rref" of M's rows or "rref_t" of its columns, cached
     with the rank; a transpose asks its source under the swapped key.
-    It is eliminated from the rank-increasing lines: the pivot columns
-    of the other side's cached RREF, else of one non-reduced pass over
-    the other side when it has fewer lines; else from every line.  A
-    row space has one RREF, so all three agree."""
+    It is reduced from the rank-increasing lines, the pivot columns of
+    the other side's cached RREF or of a non-reduced pass over the other
+    side if shorter (if not, the pass costs more than it saves: every
+    line is reduced).  A row space has one RREF, so these all agree."""
     got = M._cache.get(key)
     if got is None:
         by_rows = key == "rref"
