@@ -11,9 +11,10 @@ Homology bases are echelon-deterministic: the boundary basis is the
 canonical column-space basis of d_n, and representatives are the cycle
 basis columns that extend it, so induced maps are reproducible
 bit-for-bit.  They are picked in cycle coordinates (extending_columns),
-which needs d_{n-1} d_n = 0: require_complex's record carries it to a
-dual and to closure-checked pieces, and homology_at checks it on any
-other complex.  Dims need no basis, as rank d^T = rank d over Q.
+which needs d_{n-1} d_n = 0, as do dims from ranks: homology_at and
+homology_dims call require_complex, the one d o d gate, whose record a
+dual, a closure-checked piece and Connes' quotient copy.  Dims need no
+basis, as rank d^T = rank d over Q.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class WellDefinednessViolation(Exception):
 
 
 class NotAComplex(Exception):
-    """d_n o d_{n+1} != 0 in some degree n: a built complex fails its
-    check, or the boundaries its homology reads off are not cycles."""
+    """d_n o d_{n+1} != 0 in some degree n: a complex fails
+    require_complex."""
 
 
 class LiftFailure(Exception):
@@ -71,10 +72,10 @@ class ChainComplex:
         return "ChainComplex(dims=%r)" % (self.dims,)
 
 
-def check_complex(K: ChainComplex, degrees=None):
-    """Verify d_n o d_{n+1} = 0 for every degree n, or those in degrees;
-    returns None when they hold, else (degree, witness_entry)."""
-    for n in range(len(K.diffs) - 1) if degrees is None else degrees:
+def check_complex(K: ChainComplex):
+    """Verify d_n o d_{n+1} = 0 for every degree n; returns None when
+    they hold, else (degree, witness_entry)."""
+    for n in range(len(K.diffs) - 1):
         comp = K.diffs[n] @ K.diffs[n + 1]
         if not comp.is_zero():
             key = sorted(comp.entries)[0]
@@ -83,9 +84,10 @@ def check_complex(K: ChainComplex, degrees=None):
 
 
 def require_complex(K: ChainComplex, what: str) -> ChainComplex:
-    """K, recorded as checked, when check_complex finds no witness;
-    otherwise NotAComplex naming the degree and the witness entry."""
-    bad = check_complex(K)
+    """K, recorded as checked, when it is recorded already or
+    check_complex finds no witness; otherwise NotAComplex naming the
+    degree and the witness entry."""
+    bad = None if K._checked else check_complex(K)
     if bad is not None:
         n, witness = bad
         raise NotAComplex("%s is not a complex at degree %d: d_%d d_%d has "
@@ -120,22 +122,21 @@ class DegreeHomology:
 
 def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
     """Homology in one degree: Ker d_{n-1} / Im d_n with deterministic
-    bases.  Cached on the complex."""
+    bases, once K passes require_complex (extending_columns needs
+    d o d = 0).  Cached on the complex."""
     got = K._homology.get(n)
     if got is not None:
         return got
     if not 0 <= n <= K.top_degree:
         raise ValueError("degree %d outside the complex, whose top degree "
                          "is %d" % (n, K.top_degree))
+    require_complex(K, "chain complex")
     if n == 0:
         cycles = Subspace(K.dims[0], Matrix.identity(K.dims[0]),
                           coordinate_rows=tuple(range(K.dims[0])))
     else:
         cycles = kernel_basis(K.diffs[n - 1])
     if n < len(K.diffs):
-        if n and not K._checked and check_complex(K, [n - 1]):
-            raise NotAComplex("boundaries at degree %d are not cycles: "
-                              "d_%d d_%d != 0" % (n, n - 1, n))
         boundaries = image_basis(K.diffs[n])
     else:
         boundaries = Subspace(K.dims[n], Matrix.zero(K.dims[n], 0),
@@ -147,13 +148,12 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
 def homology_dims(K: ChainComplex, n_report: int):
     """dim H_n = dim C_n - rank d_{n-1} - rank d_n for n <= n_report, by
     one non-reduced elimination per d_k read.  Ranks cannot see d o d != 0,
-    so a K that require_complex has not passed is checked first, in every
-    degree: NotAComplex also when d o d != 0 only above n_report."""
+    so K passes require_complex first, in every degree: NotAComplex also
+    when d o d != 0 only above n_report."""
     if n_report > K.top_degree:
         raise ValueError("degree %d outside the complex, whose top degree "
                          "is %d" % (K.top_degree + 1, K.top_degree))
-    if not K._checked:
-        require_complex(K, "chain complex")
+    require_complex(K, "chain complex")
     ranks = [0] + [rank(d) for d in K.diffs[:n_report + 1]] + [0]
     return [K.dims[n] - ranks[n] - ranks[n + 1] for n in range(n_report + 1)]
 

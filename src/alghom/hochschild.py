@@ -244,12 +244,15 @@ def connes_complex(C: ChainComplex):
     """Connes' complex C^lambda = C / Im(1 - t) of the simplicial
     complex C of an algebra, with its per-degree rotation_orbits.  One
     coordinate per surviving rotation orbit; C is relabelled, not
-    rebuilt, and nothing is eliminated."""
+    rebuilt, and nothing is eliminated.  CC copies C's check record:
+    _relabel proves d_lambda proj = proj d with proj onto, so
+    d_lambda^2 proj = proj d^2 = 0 gives d_lambda^2 = 0 (Loday, 2.1)."""
     orbits = [rotation_orbits(C.dims[0], n) for n in range(len(C.dims))]
     CC = ChainComplex([len(o.reps) for o in orbits],
                       [_relabel(dn, orbits[n], orbits[n + 1], n)
                        for n, dn in enumerate(C.diffs)])
-    return require_complex(CC, "cyclic quotient complex"), orbits
+    CC._checked = C._checked
+    return CC, orbits
 
 
 def cyclic_complex(A: Algebra, n_report: int, force: bool = False):
@@ -366,11 +369,10 @@ def _read_off(C_A: ChainComplex, counts) -> TheoryData:
     by construction once Ker passes the closure check: the index lists
     of Ker and C(D) are disjoint and cover every coordinate, and the
     closure check is the chain-map condition of both maps."""
-    def where(test):
-        return [[k for k, c in enumerate(cn) if test(n, c)]
-                for n, cn in enumerate(counts)]
-    ker, only_b = where(lambda n, c: c), where(lambda n, c: c == n + 1)
-    no_b = where(lambda n, c: not c)
+    ker = [[k for k, c in enumerate(cn) if c] for cn in counts]
+    only_b = [[k for k, c in enumerate(cn) if c == n + 1]
+              for n, cn in enumerate(counts)]
+    no_b = [[k for k, c in enumerate(cn) if not c] for cn in counts]
     sub, CB = _restrict(C_A, ker), _restrict(C_A, only_b)
     CD = _restrict(C_A, no_b, sub=False)
     in_ker = [{t: k for k, t in enumerate(kn)} for kn in ker]

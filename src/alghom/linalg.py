@@ -264,7 +264,7 @@ def _clear(row, prow, c):
                 row[cc] = w // content
 
 
-def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
+def _echelon(row_dicts, ncols, *, reduce=True):
     """Sparse fraction-free Gaussian elimination, row by row against a
     table of pivot rows.
 
@@ -272,10 +272,8 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
     denominators, which keeps its span, so every row is integral.  Each
     row, in input order, is cleared at its leading (leftmost nonzero)
     column by that column's pivot row (_clear) until no pivot row exists
-    for its leading column; it then becomes that column's pivot row, or
-    a leftover row if the column is >= pivot_limit (used for augmented
-    solves: those columns are never pivoted on).  A row that vanishes is
-    dropped.
+    for its leading column; it then becomes that column's pivot row.  A
+    row that vanishes is dropped.
 
     With reduce=True the pivot rows are then taken from the rightmost
     pivot column to the leftmost, and each row's other pivot columns are
@@ -285,13 +283,9 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
     echelon form (pivots 1, zeros above and below).  With reduce=False
     the rows stay integral and only the pivot columns are meaningful.
 
-    Returns (pivots, leftover) where pivots is a list of (col, row_dict)
-    in increasing column order and leftover are the surviving non-pivot
-    rows (nonzero only in columns >= pivot_limit).
+    Returns the pivots: (col, row_dict) pairs in increasing col order.
     """
-    if pivot_limit is None:
-        pivot_limit = ncols
-    pivot_of, leftover = {}, []
+    pivot_of = {}
     for r in row_dicts:
         row = dict(r)
         if any(type(v) is not int for v in row.values()):
@@ -300,9 +294,6 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
                 row[cc] = v.numerator * (scale // v.denominator)
         while row:
             c = min(row)
-            if c >= pivot_limit:
-                leftover.append(row)
-                break
             prow = pivot_of.get(c)
             if prow is None:
                 pivot_of[c] = row
@@ -320,7 +311,7 @@ def _echelon(row_dicts, ncols, *, reduce=True, pivot_limit=None):
                 for cc, w in row.items():
                     q, rem = divmod(w, pv)
                     row[cc] = Q(w, pv) if rem else q
-    return pivots, leftover
+    return pivots
 
 
 def _lines(M: Matrix, by_rows: bool, keep=None):
@@ -357,9 +348,9 @@ def _shared_rref(M: Matrix, key: str):
             basis = M._cache.get(swapped)
             if basis is None and other < mine:
                 basis = _echelon(_lines(M, not by_rows), mine, reduce=False)
-            keep = None if basis is None else [c for c, _ in basis[0]]
+            keep = None if basis is None else [c for c, _ in basis]
             got = _echelon(_lines(M, by_rows, keep), other, reduce=True)
-        M._cache[key], M._cache["rank"] = got, len(got[0])
+        M._cache[key], M._cache["rank"] = got, len(got)
     return got
 
 
@@ -424,14 +415,14 @@ class Cokernel:
 
 
 def rank(M: Matrix) -> int:
-    """The "rank" recorded on M or its transpose source, else by pivots."""
+    """The "rank" recorded on M, else by pivots; a transpose asks its source."""
     got = M._cache.get("rank")
     if got is None:
         source = M._cache.get("transpose_of")
         if source is not None:
-            got = source._cache.get("rank")
-        if got is None:
-            got = (len(_echelon(M.row_dicts(), M.cols, reduce=False)[0])
+            got = rank(source)
+        else:
+            got = (len(_echelon(M.row_dicts(), M.cols, reduce=False))
                    if M.entries else 0)
         M._cache["rank"] = got
     return got
@@ -452,7 +443,7 @@ def extending_columns(Z: Subspace, B: Matrix) -> Matrix:
         k = index.get(r)
         if k is not None:
             rows[c][m - 1 - k] = v
-    last = {m - 1 - c for c, _ in _echelon(rows, m, reduce=False)[0]}
+    last = {m - 1 - c for c, _ in _echelon(rows, m, reduce=False)}
     at = {j: k for k, j in enumerate(j for j in range(m) if j not in last)}
     return Matrix._trusted(Z.ambient_dim, len(at), {
         (r, at[c]): v for (r, c), v in Z.basis.entries.items() if c in at})
@@ -460,7 +451,7 @@ def extending_columns(Z: Subspace, B: Matrix) -> Matrix:
 
 def kernel_basis(M: Matrix) -> Subspace:
     """Echelon-deterministic basis of {x : Mx = 0}."""
-    pivots, _ = _shared_rref(M, "rref")
+    pivots = _shared_rref(M, "rref")
     pivot_cols = {c for c, _ in pivots}
     free_cols = [c for c in range(M.cols) if c not in pivot_cols]
     free_index = {f: k for k, f in enumerate(free_cols)}
@@ -479,7 +470,7 @@ def kernel_basis(M: Matrix) -> Subspace:
 
 def image_basis(M: Matrix) -> Subspace:
     """Echelon-deterministic basis of the column space."""
-    pivots, _ = _shared_rref(M, "rref_t")
+    pivots = _shared_rref(M, "rref_t")
     ents = {(r, k): v for k, (_, row) in enumerate(pivots)
             for r, v in row.items()}
     return Subspace(M.rows, Matrix._trusted(M.rows, len(pivots), ents),
@@ -509,19 +500,18 @@ def solve(M: Matrix, b):
 
 def solve_many(M: Matrix, B: Matrix):
     """Solve MX = B for all columns of B at once, or None if any column
-    is inconsistent.  Free variables are 0 under leftmost-pivot
-    elimination, which makes the selection deterministic: X is read off
-    the augmented entries of the pivot rows of the reduced system."""
+    is inconsistent: only then does a row reach an augmented column, and
+    a pivot there is the witness.  Free variables are 0 under
+    leftmost-pivot elimination, so X, read off the augmented entries of
+    the pivot rows of the reduced system, is deterministic."""
     if B.rows != M.rows:
         raise ValueError("right-hand side row count mismatch")
     n = M.cols
     rows = M.row_dicts()
     for (r, c), v in B.entries.items():
         rows[r][n + c] = v
-    pivots, leftover = _echelon(rows, n + B.cols, reduce=True, pivot_limit=n)
-    if leftover:
-        # a surviving row is supported only on augmented columns and
-        # witnesses inconsistency of the corresponding right-hand sides
+    pivots = _echelon(rows, n + B.cols, reduce=True)
+    if pivots and pivots[-1][0] >= n:
         return None
     return Matrix(n, B.cols, {(pc, c - n): v for pc, row in pivots
                               for c, v in row.items() if c >= n})

@@ -4,13 +4,14 @@ homology/cohomology window implications for injective chain maps,
 Kronecker products and the kernel span lemma they check, the probing
 kernel basis oracle, coordinates by a solve as the oracle for the
 read-off of Subspace.coords, elimination over Q as the oracle for the
-fraction-free elimination, fixed changes of basis for extensions, the
-complexes built one degree further as the oracle for the truncation
-degree, homology and cohomology dims read off homology bases as the
-oracle for the dims read off ranks, the RREF of every line as the
-oracle for the RREF of the rank-increasing lines, representatives
-picked on [boundaries | cycles] as the oracle for the pick in cycle
-coordinates, and dense and section constructors for matrices."""
+fraction-free elimination and for solves, the associativity check of
+every triple, fixed changes of basis for extensions, the complexes
+built one degree further as the oracle for the truncation degree,
+homology and cohomology dims read off homology bases as the oracle for
+the dims read off ranks, the RREF of every line as the oracle for the
+RREF of the rank-increasing lines, representatives picked on
+[boundaries | cycles] as the oracle for the pick in cycle coordinates,
+and dense and section constructors for matrices."""
 
 import random
 
@@ -142,7 +143,7 @@ def kernel_basis_by_probing(M: Matrix) -> Subspace:
     """kernel_basis by a double loop over the RREF: each free column
     probes every pivot row for its entry.  The oracle for the one-pass
     walk of kernel_basis."""
-    pivots, _ = _shared_rref(M, "rref")
+    pivots = _shared_rref(M, "rref")
     pivot_cols = {c for c, _ in pivots}
     free_cols = [c for c in range(M.cols) if c not in pivot_cols]
     columns = []
@@ -164,34 +165,29 @@ def coords_by_solve(sub: Subspace, vec: dict):
     return None if sol is None else sol.column(0)
 
 
-def echelon_over_q(row_dicts, ncols, *, reduce=True, pivot_limit=None):
+def echelon_over_q(row_dicts, ncols, *, reduce=True):
     """Sparse Gaussian elimination over Q with the deterministic pivot
     rule; the oracle for the fraction-free linalg._echelon, which must
-    give the same RREF, pivot columns, rank and consistency verdict.
+    give the same RREF, pivot columns and rank.
 
     Pivots on the leftmost nonzero column; within a column picks the
     smallest-magnitude entry (lowest row index on ties).  With
     reduce=True the result is the reduced row echelon form (pivots 1,
-    zeros above and below).  Columns >= pivot_limit are never pivoted on
-    (used for augmented solves).  A pivot of +-1 is its own inverse, so
-    its row is negated or kept and its factors are products; any other
+    zeros above and below).  A pivot of +-1 is its own inverse, so its
+    row is negated or kept and its factors are products; any other
     pivot divides a Q.
 
-    Returns (pivots, leftover) where pivots is a list of (col, row_dict)
-    in increasing column order and leftover are the surviving non-pivot
-    rows (nonzero only in columns >= pivot_limit when the input rows are
-    consistent).
+    Returns the pivots, a list of (col, row_dict) in increasing column
+    order.
     """
     rows = [dict(r) for r in row_dicts]
-    if pivot_limit is None:
-        pivot_limit = ncols
     colmap = {}
     for i, r in enumerate(rows):
         for c in r:
             colmap.setdefault(c, set()).add(i)
 
     pivot_of = {}
-    for c in range(pivot_limit):
+    for c in range(ncols):
         live = colmap.get(c)
         if not live:
             continue
@@ -230,10 +226,38 @@ def echelon_over_q(row_dicts, ncols, *, reduce=True, pivot_limit=None):
                         colmap[cc].discard(i)
         pivot_of[p] = c
 
-    pivots = sorted(((c, rows[p]) for p, c in pivot_of.items()), key=lambda t: t[0])
-    leftover = [rows[i] for i in range(len(rows))
-                if i not in pivot_of and rows[i]]
-    return pivots, leftover
+    return sorted(((c, rows[p]) for p, c in pivot_of.items()), key=lambda t: t[0])
+
+
+def solve_over_q(M: Matrix, B: Matrix):
+    """X with MX = B read off echelon_over_q's RREF of [M | B], free
+    variables 0, or None when rank [M | B] > rank M; the oracle for
+    linalg.solve_many, which reads inconsistency off a pivot in an
+    augmented column."""
+    n = M.cols
+    pivots = echelon_over_q(hstack([M, B]).row_dicts(), n + B.cols)
+    if len(pivots) > len(echelon_over_q(M.row_dicts(), n)):
+        return None
+    return Matrix(n, B.cols, {(pc, c - n): v for pc, row in pivots
+                              for c, v in row.items() if c >= n})
+
+
+def violations_over_every_triple(alg: Algebra):
+    """Associativity violations of alg visiting all dim^3 triples
+    (i, j, k) in order: the oracle for validate_algebra, which skips
+    the triples where both sides vanish."""
+    violations = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                left = alg.product(alg.product_basis(i, j), {k: 1})
+                right = alg.product({i: 1}, alg.product_basis(j, k))
+                if left != right:
+                    violations.append({
+                        "triple": (i, j, k),
+                        "left": {t: Q(v) for t, v in left.items()},
+                        "right": {t: Q(v) for t, v in right.items()}})
+    return violations
 
 
 def verify_kernel_span(ext, n: int):
@@ -405,12 +429,11 @@ def rref_of_every_line(M: Matrix, key: str):
     return _echelon(lines, M.cols if by_rows else M.rows, reduce=True)
 
 
-def typed_rref(rref):
+def typed_rref(pivots):
     """An RREF as (pivot column, [(column, value, type name)]) in column
     order, so that equal RREFs compare equal in their entry types too."""
-    pivots, leftover = rref
-    return ([(c, [(k, v, type(v).__name__) for k, v in sorted(row.items())])
-             for c, row in pivots], leftover)
+    return [(c, [(k, v, type(v).__name__) for k, v in sorted(row.items())])
+            for c, row in pivots]
 
 
 def rep_basis_on_hstack(K: ChainComplex, n: int) -> Matrix:
@@ -422,12 +445,12 @@ def rep_basis_on_hstack(K: ChainComplex, n: int) -> Matrix:
         cycles = Matrix.identity(K.dims[0])
     else:
         cycles = kernel_basis(K.diffs[n - 1]).basis
-    image = (rref_of_every_line(K.diffs[n], "rref_t")[0]
+    image = (rref_of_every_line(K.diffs[n], "rref_t")
              if n < len(K.diffs) else [])
     boundaries = Matrix.from_columns(K.dims[n], [row for _, row in image])
     combined = hstack([boundaries, cycles])
     nb = boundaries.cols
-    pivots, _ = _echelon(combined.row_dicts(), combined.cols, reduce=False)
+    pivots = _echelon(combined.row_dicts(), combined.cols, reduce=False)
     columns = cycles.column_dicts()
     return Matrix.from_columns(K.dims[n], [columns[c - nb]
                                            for c, _ in pivots if c >= nb])

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, output formats, report parity."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import alghom
 from alghom import cli, complexes
 from alghom.cli import main
 from alghom.complexes import LiftFailure
@@ -221,7 +225,7 @@ def test_trace_rejects_non_associative_algebra(capsys, tmp_path):
 # (theory, the check_complex call that fails, the complex it names)
 BROKEN_BUILDS = [("hochschild", 1, "simplicial complex"),
                  ("bar", 1, "bar complex"),
-                 ("cyclic", 2, "cyclic quotient complex")]
+                 ("cyclic", 1, "simplicial complex")]
 
 
 @pytest.mark.parametrize("theory, failing_call, what", BROKEN_BUILDS)
@@ -433,3 +437,48 @@ def test_degree_cap_at_a_huge_degree(capsys, tmp_path):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "cap" in err and "needs 2^20003 basis tensors" in err
+
+
+def test_degree_cap_of_an_algebra_with_no_products(capsys, tmp_path):
+    """Associativity is checked only where a side can be nonzero, so a
+    300-dimensional algebra with no products reaches the cap at once,
+    not after its 27 million basis triples."""
+    path = tmp_path / "z300.json"
+    path.write_text(json.dumps({"preset": "zero_mult", "d": 300}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err == ("degree cap exceeded: degree 5 over a 300-dimensional "
+                   "algebra needs 729000000000000 basis tensors (cap "
+                   "1000000); pass force to override\n")
+
+
+def test_cli_as_a_process_exits_with_its_codes(tmp_path, m2_file):
+    """python -m alghom.cli runs entry(), whose exit status is main's
+    code: 0 validates a preset, 1 refuses a non-associative algebra, 2 a
+    malformed file and 3 a degree over the cap, each refusal on one
+    stderr line with no traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(alghom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    nonassoc, malformed, big = (tmp_path / name for name in
+                                ("nonassoc.json", "bad.json", "big.json"))
+    nonassoc.write_text(json.dumps(NON_ASSOCIATIVE_A))
+    malformed.write_text("{not json")
+    big.write_text(json.dumps({"preset": "zero_mult", "d": 16}))
+    cases = [(["validate", m2_file], 0, ""),
+             (["homology", str(nonassoc)], 1, "error: not an associative"),
+             (["validate", str(malformed)], 2, "parse error: "),
+             (["homology", str(big)], 3, "degree cap exceeded: ")]
+    for argv, code, starts in cases:
+        proc = subprocess.run([sys.executable, "-m", "alghom.cli"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == code, (argv, proc.stderr)
+        if code == 0:
+            assert (proc.stdout, proc.stderr) == ("valid algebra: dim 4\n", "")
+            continue
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(starts)

@@ -16,7 +16,7 @@ from alghom.complexes import (
     assemble_sequence, check_chain_map, check_complex, check_ses,
     cohomology_dims, connecting_homomorphism, dualize, dualize_map,
     homology_at, homology_dims, induced_map_on_homology,
-    long_exact_sequence,
+    long_exact_sequence, require_complex,
 )
 from alghom.linalg import Matrix, ONE, Q, rank
 
@@ -44,19 +44,26 @@ def test_check_complex_catches_bad_differential():
     assert check_complex(K) is not None
 
 
+NOT_A_COMPLEX_AT_0 = (r"^chain complex is not a complex at degree 0: "
+                      r"d_0 d_1 has entry 1 at \(0, 0\)$")
+
+
 def test_homology_of_a_non_complex_names_the_degree():
-    # d0 d1 = 1: the boundary of degree 1 is not a cycle
+    """d_0 d_1 = 1: homology_at passes K through require_complex, which
+    names the failing degree, whichever degree is asked for."""
     K = ChainComplex([1, 1, 1], [Matrix.identity(1), Matrix.identity(1)])
-    with pytest.raises(NotAComplex, match="at degree 1"):
-        homology_at(K, 1)
+    for n in range(3):
+        with pytest.raises(NotAComplex, match=NOT_A_COMPLEX_AT_0):
+            homology_at(K, n)
+    assert not K._checked and K._homology == {}
 
 
 def test_dual_of_a_non_complex_raises():
     """The dual of an unchecked complex is unchecked, and its homology
-    checks the product it reads: (d_0 d_1)^T != 0."""
+    checks it: (d_0 d_1)^T != 0 is the dual's d_0 d_1."""
     K = ChainComplex([1, 1, 1], [Matrix.identity(1), Matrix.identity(1)])
     assert not dualize(K)._checked
-    with pytest.raises(NotAComplex, match="at degree 1"):
+    with pytest.raises(NotAComplex, match=NOT_A_COMPLEX_AT_0):
         homology_at(dualize(K), 1)
 
 
@@ -65,9 +72,25 @@ def test_homology_checks_a_non_complex_whose_counts_agree():
     at the free row of Ker d_0, so one cycle, one boundary and no
     representative look consistent: only the product check sees it."""
     K = ChainComplex([1, 2, 1], [from_dense([[1, 0]]), from_dense([[1], [1]])])
-    with pytest.raises(NotAComplex, match="^boundaries at degree 1 are not "
-                                          r"cycles: d_0 d_1 != 0$"):
+    with pytest.raises(NotAComplex, match=NOT_A_COMPLEX_AT_0):
         homology_at(K, 1)
+
+
+def test_require_complex_checks_a_complex_once(monkeypatch):
+    """require_complex is idempotent: homology_at in every degree and
+    the dims of an unchecked complex run check_complex once in all."""
+    K = ChainComplex([1, 2, 1], [from_dense([[1, 0]]), from_dense([[0], [1]])])
+    real, calls = complexes.check_complex, []
+
+    def counted(K):
+        calls.append(K)
+        return real(K)
+
+    monkeypatch.setattr(complexes, "check_complex", counted)
+    assert [homology_at(K, n).dim for n in range(3)] == [0, 0, 0]
+    assert homology_dims(K, 2) == cohomology_dims(K, 2) == [0, 0, 0]
+    assert require_complex(K, "chain complex") is K
+    assert calls == [K] and K._checked
 
 
 def test_homology_past_the_top_names_the_top_degree():

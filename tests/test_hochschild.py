@@ -402,6 +402,32 @@ def test_connes_complex_eliminates_nothing(monkeypatch):
     assert CC.dims == [4, 6, 24, 66]
 
 
+def test_cyclic_complex_carries_the_record_of_one_check(monkeypatch):
+    """_relabel proves d_lambda proj = proj d with proj onto, so CC
+    copies C's check record: building CC(A) runs check_complex once, on
+    C(A), and CC's homology and dims run it no more.  An unchecked C
+    gives an unchecked CC, which its homology then checks."""
+    real, calls = complexes.check_complex, []
+
+    def counted(K):
+        calls.append(K)
+        return real(K)
+
+    monkeypatch.setattr(complexes, "check_complex", counted)
+    A = preset("upper_triangular", k=2)
+    CC, _ = cyclic_complex(A, 2)
+    assert len(calls) == 1 and calls[0] is not CC and CC._checked
+    homology_dims(CC, 2)
+    for n in range(CC.top_degree + 1):
+        homology_at(CC, n)
+    assert len(calls) == 1
+    calls.clear()
+    unchecked, _ = connes_complex(hochschild._build_complex(A, 3, wrap=True))
+    assert calls == [] and not unchecked._checked
+    assert homology_dims(unchecked, 2) == homology_dims(CC, 2)
+    assert calls == [unchecked] and unchecked._checked
+
+
 def _non_ideal_extension():
     """B = span{e11} inside the upper-triangular 2x2 matrices, written
     with i = [I; 0] and j = [0 | I] although e11 e12 = e12 leaves B."""

@@ -28,7 +28,7 @@ from alghom.linalg import (
 from support import (
     BASIS_CHANGE, BASIS_CHANGE_DET_4, basis_dims, coords_by_solve,
     echelon_over_q, from_dense, kernel_basis_by_probing, kron, kron_power,
-    rebased, rref_of_every_line, section, typed_rref,
+    rebased, rref_of_every_line, section, solve_over_q, typed_rref,
 )
 
 
@@ -272,7 +272,7 @@ def test_coords_rejects_non_members(M, seed):
 def cokernel_projection_oracle(M):
     """Reference projection: for each free coordinate, look it up in
     every pivot row of the RREF (free coordinates x pivots)."""
-    pivots, _ = _shared_rref(M, "rref_t")
+    pivots = _shared_rref(M, "rref_t")
     pivot_set = {c for c, _ in pivots}
     free_coords = [q for q in range(M.rows) if q not in pivot_set]
     ents = {}
@@ -356,10 +356,8 @@ def as_q(rows):
     return [{c: Q(v) for c, v in row.items()} for row in rows]
 
 
-def echelon_entries(result):
-    pivots, leftover = result
-    return ([v for _, row in pivots for v in row.values()]
-            + [v for row in leftover for v in row.values()])
+def echelon_entries(pivots):
+    return [v for _, row in pivots for v in row.values()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,7 +387,7 @@ def test_echelon_divides_by_a_non_unit_pivot():
     rows = [{0: 2, 1: 3}, {0: 4, 1: 5}]
     for reduce, expected in [(False, [(0, {0: 2, 1: 3}), (1, {1: -1})]),
                              (True, [(0, {0: 1}), (1, {1: 1})])]:
-        pivots, _ = _echelon(rows, 2, reduce=reduce)
+        pivots = _echelon(rows, 2, reduce=reduce)
         assert pivots == expected
         assert all(is_exact(v) for _, row in pivots for v in row.values())
 
@@ -402,8 +400,8 @@ def test_echelon_keeps_integral_rows_primitive_and_oriented():
               [(0, {0: -2, 1: 1, 2: 1}), (1, {1: 13, 2: 5})]),
              ([{0: 4, 1: 6}, {0: 6, 1: 3}], [(0, {0: 4, 1: 6}), (1, {1: -1})])]
     for rows, expected in cases:
-        pivots, leftover = _echelon(rows, 3, reduce=False)
-        assert pivots == expected and leftover == []
+        pivots = _echelon(rows, 3, reduce=False)
+        assert pivots == expected
         assert all(type(v) is int for _, row in pivots for v in row.values())
 
 
@@ -433,40 +431,41 @@ def oracle_rows(rng):
     return rows, ncols, rng.randint(0, min(2, ncols - 1))
 
 
-def inconsistent(result, limit):
-    return any(c >= limit for row in result[1] for c in row)
+def augmented_system(rows, ncols, extra):
+    """The rows as the system [M | B], B their last extra columns."""
+    limit = ncols - extra
+    parts = [{}, {}]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            parts[c >= limit][(r, c - limit if c >= limit else c)] = v
+    return Matrix(len(rows), limit, parts[0]), Matrix(len(rows), extra, parts[1])
 
 
 def test_fraction_free_echelon_matches_the_q_oracle(monkeypatch):
-    """The integer elimination gives the RREF of elimination over Q, the
-    same pivot columns, rank and consistency verdict with and without
-    reduction (also on augmented rows), entries within the entry-type
-    contract, and through it the same kernel, image, cokernel and
-    solutions."""
+    """The integer elimination gives the RREF of elimination over Q and
+    the same pivot columns and rank without reduction, entries within
+    the entry-type contract, and through it the same kernel, image,
+    cokernel and solutions.  Read as augmented systems [M | B], the
+    rows give solve_many the solution, or the None, of the oracle's
+    RREF of [M | B], and both verdicts occur."""
     rng = random.Random(20261019)
+    verdicts = set()
     for _ in range(400):
         rows, ncols, extra = oracle_rows(rng)
-        limit = ncols - extra
         before = [dict(r) for r in rows]
         for reduce in (True, False):
-            got = _echelon(rows, ncols, reduce=reduce, pivot_limit=limit)
-            want = echelon_over_q(rows, ncols, reduce=reduce, pivot_limit=limit)
-            assert [c for c, _ in got[0]] == [c for c, _ in want[0]]
-            assert inconsistent(got, limit) == inconsistent(want, limit)
+            got = _echelon(rows, ncols, reduce=reduce)
+            want = echelon_over_q(rows, ncols, reduce=reduce)
+            assert [c for c, _ in got] == [c for c, _ in want]
             if not reduce:
                 assert all(type(v) is int for v in echelon_entries(got))
                 continue
             assert all(is_exact(v) for v in echelon_entries(got))
-            if inconsistent(got, limit):
-                # pivot rows are unique only up to the leftover rows,
-                # which live in the augmented columns
-                assert ([{c: v for c, v in row.items() if c < limit}
-                         for _, row in got[0]]
-                        == [{c: v for c, v in row.items() if c < limit}
-                            for _, row in want[0]])
-            else:
-                assert got[0] == want[0]
+            assert got == want
         assert rows == before
+        X = solve_many(*augmented_system(rows, ncols, extra))
+        assert X == solve_over_q(*augmented_system(rows, ncols, extra))
+        verdicts.add(X is None)
         M = Matrix(len(rows), ncols, {(r, c): v for r, row in enumerate(rows)
                                       for c, v in row.items()})
         B = M @ Matrix(ncols, 2, {(c, k): rng.randint(-3, 3)
@@ -482,9 +481,12 @@ def test_fraction_free_echelon_matches_the_q_oracle(monkeypatch):
                     cokernel(fresh()), solve_many(fresh(), B), rank(fresh()))
 
         got = outputs()
+        assert got[3] == solve_over_q(M, B)
+        verdicts.add(got[3] is None)
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_echelon", echelon_over_q)
             assert got == outputs()
+    assert verdicts == {True, False}
 
 
 REBASED_ALGEBRAS = [
@@ -504,32 +506,30 @@ def test_echelon_matches_the_q_oracle_on_dense_differentials(A):
             rows = M.row_dicts()
             assert (_echelon(rows, M.cols, reduce=True)
                     == echelon_over_q(rows, M.cols, reduce=True))
-            assert ([c for c, _ in _echelon(rows, M.cols, reduce=False)[0]]
+            assert ([c for c, _ in _echelon(rows, M.cols, reduce=False)]
                     == [c for c, _ in echelon_over_q(rows, M.cols,
-                                                     reduce=False)[0]])
+                                                     reduce=False)])
 
 
 def test_echelon_does_not_depend_on_the_row_order():
     """Whichever row of a column arrives first becomes its pivot row,
     and no output reads that choice: permuted rows give the same RREF,
-    the same pivot columns without reduction, and the same consistency
-    verdict (and, when consistent, RREF) under a pivot limit."""
+    the same pivot columns without reduction, and, read as augmented
+    systems [M | B], the same solve_many solution or None, which is
+    the oracle's."""
     rng = random.Random(20261020)
     for _ in range(300):
         rows, ncols, extra = oracle_rows(rng)
-        limit = ncols - extra
         rref = _echelon(rows, ncols, reduce=True)
-        cols = [c for c, _ in _echelon(rows, ncols, reduce=False)[0]]
-        augmented = _echelon(rows, ncols, reduce=True, pivot_limit=limit)
+        cols = [c for c, _ in _echelon(rows, ncols, reduce=False)]
+        X = solve_many(*augmented_system(rows, ncols, extra))
+        assert X == solve_over_q(*augmented_system(rows, ncols, extra))
         for _ in range(3):
             permuted = rng.sample(rows, len(rows))
             assert _echelon(permuted, ncols, reduce=True) == rref
             assert [c for c, _ in _echelon(permuted, ncols,
-                                           reduce=False)[0]] == cols
-            got = _echelon(permuted, ncols, reduce=True, pivot_limit=limit)
-            assert inconsistent(got, limit) == inconsistent(augmented, limit)
-            if not inconsistent(got, limit):
-                assert got[0] == augmented[0]
+                                           reduce=False)] == cols
+            assert solve_many(*augmented_system(permuted, ncols, extra)) == X
 
 
 def test_elimination_happens_only_in_linalg():
@@ -595,7 +595,7 @@ def test_rref_of_the_rank_increasing_lines_is_the_rref_of_every_line(
 
     for M in rref_matrices():
         want = typed_rref(rref_of_every_line(M, key))
-        r = len(want[0])
+        r = len(want)
         lines, across = (M.rows, M.cols) if key == "rref" else (M.cols, M.rows)
         fresh = Matrix(M.rows, M.cols, M.entries)
         with monkeypatch.context() as mp:
