@@ -10,10 +10,11 @@ Commands:
 Exit codes: 0 ok; 1 invalid input (a non-associative algebra, an
 invalid extension) or a failed internal invariant (LiftFailure,
 ClosureViolation, WellDefinednessViolation, InducedMapNotWellDefined,
-SurrogateNotMet, NotAComplex), reported on one stderr line that names
-the layer; 2 parse or usage error (including a negative --max-degree);
-3 degree cap exceeded.  All rationals appear as "p/q" strings; the text
-and JSON renderings come from the same report value.
+ContractionFailure, SurrogateNotMet, NotAComplex), reported on one
+stderr line that names the layer; 2 parse or usage error (including a
+negative --max-degree); 3 degree cap exceeded.  All rationals appear
+as "p/q" strings; the text and JSON renderings come from the same
+report value.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .complexes import (
 from .excision import SurrogateNotMet, excision_report
 from .fileio import ParseError, load_document
 from .hochschild import (
-    ClosureViolation, DegreeCapExceeded, InducedMapNotWellDefined,
-    bar_complex, cyclic_complex, hochschild_complex, trace_space,
+    ClosureViolation, ContractionFailure, DegreeCapExceeded,
+    InducedMapNotWellDefined, bar_complex, cyclic_complex,
+    hochschild_complex, trace_space,
 )
 from .linalg import format_q
 
@@ -43,7 +45,8 @@ EXIT_CAP = 3
 # raised only when an internal invariant breaks, never by bad input
 INVARIANT_FAILURES = (
     LiftFailure, ClosureViolation, WellDefinednessViolation,
-    InducedMapNotWellDefined, SurrogateNotMet, NotAComplex,
+    InducedMapNotWellDefined, ContractionFailure, SurrogateNotMet,
+    NotAComplex,
 )
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄"

@@ -14,7 +14,9 @@ bit-for-bit.  They are picked in cycle coordinates (extending_columns),
 which needs d_{n-1} d_n = 0, as do dims from ranks: homology_at and
 homology_dims call require_complex, the one d o d gate, whose record a
 dual, a closure-checked piece and Connes' quotient copy.  Dims need no
-basis, as rank d^T = rank d over Q.
+basis, as rank d^T = rank d over Q.  A degree recorded acyclic by a
+checked contracting homotopy (hochschild.certify_acyclic) has H = 0
+with no basis and no elimination, and so has its dual degree.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ class ChainComplex:
                                  % (n, d.rows, d.cols, self.dims[n], self.dims[n + 1]))
         self.genuine_top = genuine_top
         self._checked = False   # d o d = 0 known: require_complex sets it
+        self._acyclic = frozenset()     # H_n = 0 known: certify_acyclic sets it
         self._homology = {}
         self._dual = None
 
@@ -101,16 +104,22 @@ def require_complex(K: ChainComplex, what: str) -> ChainComplex:
 @dataclass
 class DegreeHomology:
     dim: int
-    boundary_basis: Subspace
+    boundary_basis: Subspace | None     # None: a degree recorded acyclic
     rep_basis: Matrix          # columns: chosen representative cycles
+    below: Matrix | None = None     # d_{n-1} of an acyclic degree n >= 1
 
     def class_coords(self, vecs: Matrix):
         """Coordinates of the homology classes of the columns of vecs in
         the representative basis, as the columns of a dim x vecs.cols
         matrix, by one solve; None if some column is not a cycle
-        combination."""
+        combination.  On a degree recorded acyclic every cycle is a
+        boundary, so the test is d_{n-1} @ vecs = 0 and the classes 0."""
         if not vecs.cols:
             return Matrix.zero(self.dim, 0)
+        if self.boundary_basis is None:
+            if self.below is not None and not (self.below @ vecs).is_zero():
+                return None
+            return Matrix.zero(0, vecs.cols)
         sol = solve_many(hstack([self.boundary_basis.basis, self.rep_basis]),
                          vecs)
         if sol is None:
@@ -123,7 +132,8 @@ class DegreeHomology:
 def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
     """Homology in one degree: Ker d_{n-1} / Im d_n with deterministic
     bases, once K passes require_complex (extending_columns needs
-    d o d = 0).  Cached on the complex."""
+    d o d = 0), or 0 with no basis on a degree recorded acyclic.
+    Cached on the complex."""
     got = K._homology.get(n)
     if got is not None:
         return got
@@ -131,6 +141,9 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
         raise ValueError("degree %d outside the complex, whose top degree "
                          "is %d" % (n, K.top_degree))
     require_complex(K, "chain complex")
+    if n in K._acyclic:
+        return K._homology.setdefault(n, DegreeHomology(
+            0, None, Matrix.zero(K.dims[n], 0), K.diffs[n - 1] if n else None))
     if n == 0:
         cycles = Subspace(K.dims[0], Matrix.identity(K.dims[0]),
                           coordinate_rows=tuple(range(K.dims[0])))
@@ -147,22 +160,28 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
 
 def homology_dims(K: ChainComplex, n_report: int):
     """dim H_n = dim C_n - rank d_{n-1} - rank d_n for n <= n_report, by
-    one non-reduced elimination per d_k read.  Ranks cannot see d o d != 0,
-    so K passes require_complex first, in every degree: NotAComplex also
-    when d o d != 0 only above n_report."""
+    one non-reduced elimination per d_k read, and 0 with no rank on a
+    degree recorded acyclic.  Ranks cannot see d o d != 0, so K passes
+    require_complex first, in every degree: NotAComplex also when
+    d o d != 0 only above n_report."""
     if n_report > K.top_degree:
         raise ValueError("degree %d outside the complex, whose top degree "
                          "is %d" % (K.top_degree + 1, K.top_degree))
     require_complex(K, "chain complex")
-    ranks = [0] + [rank(d) for d in K.diffs[:n_report + 1]] + [0]
-    return [K.dims[n] - ranks[n] - ranks[n + 1] for n in range(n_report + 1)]
+    live = [n for n in range(n_report + 1) if n not in K._acyclic]
+    ranks = {k: rank(K.diffs[k]) for n in live for k in (n - 1, n)
+             if 0 <= k < len(K.diffs)}
+    return [K.dims[n] - ranks.get(n - 1, 0) - ranks.get(n, 0)
+            if n in live else 0 for n in range(n_report + 1)]
 
 
 def dualize(K: ChainComplex) -> ChainComplex:
     """Dual cochain complex stored as a chain complex with reversed
     degrees: chain degree m corresponds to cohomological degree
     top_degree - m, so the same homology engine computes cohomology.
-    The reversed top (cohomological degree 0) is genuine.
+    The reversed top (cohomological degree 0) is genuine.  A degree n
+    recorded acyclic on K is recorded at N - n on the dual: transposing
+    d_n s_n + s_{n-1} d_{n-1} = 1 gives the contraction of C_n^*.
 
     The dual is built once and cached on K, so every caller (and every
     dual chain map through dualize_map) shares one dual object and its
@@ -174,6 +193,7 @@ def dualize(K: ChainComplex) -> ChainComplex:
         diffs = [K.diffs[N - 1 - m].transpose() for m in range(N)]
         K._dual = ChainComplex(dims, diffs, genuine_top=True)
         K._dual._checked = K._checked
+        K._dual._acyclic = frozenset(N - n for n in K._acyclic)
     return K._dual
 
 
@@ -223,15 +243,24 @@ def induced_map_on_homology(psi: ChainMap, n: int) -> Matrix:
     """Matrix of H_n(psi) in the deterministic homology bases.
 
     Well-definedness (cycles to cycles, boundaries to boundaries) is
-    verified, not assumed."""
+    verified, not assumed, with one exception: a side recorded acyclic
+    has no boundary basis, and its boundary loop is skipped.  A chain
+    map sends boundaries to boundaries, and every map this is asked for
+    is one by a check that has run: incl, comp and map_ad by the
+    read-off's closure check (hochschild._read_off), and their duals as
+    the transposes of those.  An acyclic source gives the empty matrix;
+    an acyclic target keeps the cycle check (class_coords)."""
     src = homology_at(psi.source, n)
     tgt = homology_at(psi.target, n)
+    if src.boundary_basis is None:
+        return Matrix.zero(tgt.dim, 0)
     comp = psi.components[n]
-    for col in src.boundary_basis.basis.column_dicts():
-        img = comp.apply_dict(col)
-        if img and tgt.boundary_basis.coords(img) is None:
-            raise WellDefinednessViolation(
-                "boundary not sent to a boundary in degree %d" % n)
+    if tgt.boundary_basis is not None:
+        for col in src.boundary_basis.basis.column_dicts():
+            img = comp.apply_dict(col)
+            if img and tgt.boundary_basis.coords(img) is None:
+                raise WellDefinednessViolation(
+                    "boundary not sent to a boundary in degree %d" % n)
     coords = tgt.class_coords(comp @ src.rep_basis)
     if coords is None:
         raise WellDefinednessViolation(

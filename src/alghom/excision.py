@@ -33,14 +33,15 @@ from __future__ import annotations
 
 import json
 
-from .algebra import Extension, unit_witness, validate_extension
+from .algebra import Extension, UnitWitness, unit_witness, validate_extension
 from .complexes import (
     LongSequence, assemble_sequence, check_quasi_isomorphism, dualize_map,
     induced_map_on_homology, long_exact_sequence,
 )
 from .hochschild import (
-    TheoryData, adapted_extension, bar_complex, connes_complex,
-    cyclic_kernel_subcomplex, hochschild_complex, kernel_subcomplex,
+    TheoryData, adapted_extension, bar_complex, certify_acyclic,
+    connes_complex, cyclic_kernel_subcomplex, hochschild_complex,
+    kernel_subcomplex,
 )
 from .linalg import Matrix, format_q, rank, solve_many
 
@@ -65,17 +66,29 @@ def _require_valid(ext: Extension):
 
 
 def build_theory(ext: Extension, n_report: int, theory: str,
-                 force: bool = False) -> TheoryData:
+                 force: bool = False, unit_B: UnitWitness | None = None
+                 ) -> TheoryData:
     """One of the three theories ('simplicial', 'bar', 'cyclic') for an
     adapted extension (hochschild.adapted_extension): builds C(A), the
-    bar complex for bar, and reads the rest off it, or off CC(A)."""
+    bar complex for bar, and reads the rest off it, or off CC(A).
+
+    The bar C(A) is certified acyclic with A's unit before the read-off
+    hands that record to Ker and C(D), and C(B) with unit_B, B's unit
+    witness (found here when not given).  C(B)'s coordinates are the
+    flat indices of B's own bar complex, as B slots are the indices
+    below dim B, so B's unit acts on them as on that complex."""
     if theory not in THEORIES:
         raise ValueError("unknown theory %r" % theory)
     build = bar_complex if theory == "bar" else hochschild_complex
     CA = build(ext.A, n_report, force)
     if theory == "cyclic":
         return cyclic_kernel_subcomplex(ext, connes_complex(CA))
-    return kernel_subcomplex(ext, CA)
+    if theory == "simplicial":
+        return kernel_subcomplex(ext, CA)
+    certify_acyclic(CA, unit_witness(ext.A))
+    td = kernel_subcomplex(ext, CA)
+    certify_acyclic(td.CB, unit_witness(ext.B) if unit_B is None else unit_B)
+    return td
 
 
 def _factor_through(through: Matrix, target_map: Matrix):
@@ -197,6 +210,8 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
     and the verdict says so."""
     _require_valid(ext)
     adapted = adapted_extension(ext)
+    # B's one unit witness: the hypothesis and C(B)'s homotopy share it
+    unit = unit_witness(adapted.B)
     # theories in the order simplicial, cyclic, bar, each dropped once
     # read; the simplicial C(A) lives until CC(A) is relabelled from it
     theory = build_theory(adapted, n_report, "simplicial", force)
@@ -209,7 +224,7 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
         "cyclic", cyclic_kernel_subcomplex(adapted, cyclic_A), n_report)
     del cyclic_A
     read["bar"] = _theory_records(
-        "bar", build_theory(adapted, n_report, "bar", force), n_report)
+        "bar", build_theory(adapted, n_report, "bar", force, unit), n_report)
     sequences = [rec for t in THEORIES for rec in read[t][0]]
     snake_sequences = [rec for t in THEORIES for rec in read[t][1]]
     comparison = {"%s_quasi_iso" % t: read[t][2] for t in THEORIES}
@@ -218,7 +233,6 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
     bar = _record(sequences, "bar homology")
     bar_b, hr_a, hr_d = (_node_dims(bar, group) for group in "BAD")
 
-    unit = unit_witness(ext.B)
     hypothesis_met = unit.found
     hypothesis = {
         "unit": {"side": unit.side,

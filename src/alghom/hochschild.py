@@ -7,6 +7,8 @@ and are read off the one complex C(A) by index.  The cyclic complex
 CC(A) is Connes' complex C(A) / Im(1 - t), one coordinate per rotation
 orbit of basis tensors on which t acts by +1 (connes_complex); it is
 relabelled from C(A), and its pieces are read off it in the same way.
+A one-sided unit contracts the bar complex (certify_acyclic), and the
+degrees where its homotopy is checked are recorded acyclic.
 
 Index convention (shared by every builder, rotation_orbits and the
 B-slot counts): a basis tensor
@@ -41,7 +43,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .algebra import (
-    Algebra, AlgebraHom, Extension, find_splitting, validate_hom,
+    Algebra, AlgebraHom, Extension, UnitWitness, find_splitting, validate_hom,
 )
 from .complexes import (
     ChainComplex, ChainMap, ShortExactSequenceOfComplexes, dualize,
@@ -49,7 +51,7 @@ from .complexes import (
 )
 from .linalg import (
     Cokernel, Matrix, Subspace,
-    cokernel, hstack, kernel_basis, solve_many,
+    cokernel, format_q, hstack, kernel_basis, solve_many,
 )
 
 DEGREE_CAP = 10 ** 6
@@ -65,6 +67,11 @@ class ClosureViolation(Exception):
     subcomplex, or the ideal is not closed in the adapted basis."""
 
 
+class ContractionFailure(Exception):
+    """The homotopy of a verified one-sided unit does not contract the
+    bar complex; this can only happen through an implementation bug."""
+
+
 class DegreeCapExceeded(Exception):
     """The requested build would allocate more basis tensors than the
     configured cap allows."""
@@ -73,7 +80,7 @@ class DegreeCapExceeded(Exception):
 def check_degree_cap(dim: int, n_report: int, force: bool = False):
     """Refuse, unless force, more than DEGREE_CAP basis tensors, dim^k
     for k = n_report + 3: one degree above the top built, as dim^(k - 1)
-    admits M_3(Q) + Q at degree 4 (2.3 GiB).  For dim >= 2 a k past the
+    admits M_3(Q) + Q at degree 4 (1,960 MiB).  For dim >= 2 a k past the
     cap's bit length exceeds it; dim^k is not formed but printed d^k."""
     if n_report < 0:
         raise ValueError("report degree must be >= 0, got %d" % n_report)
@@ -155,6 +162,62 @@ def bar_complex(A: Algebra, n_report: int, force: bool = False) -> ChainComplex:
     check_degree_cap(A.dim, n_report, force)
     return require_complex(_build_complex(A, n_report + 1, wrap=False),
                            "bar complex")
+
+
+def _homotopy(u: dict, right: bool, d: int, n: int) -> Matrix:
+    """s_n: C_n -> C_{n+1} of the bar complex of a d-dimensional algebra
+    with the one-sided unit sum_i u[i] e_i, in flat indices: x -> u (x) x
+    for a left unit, x -> (-1)^n x (x) u for a right one (right)."""
+    span = d ** (n + 1)
+    if right:
+        sign = -1 if n % 2 else 1
+        return Matrix._trusted(d * span, span, {
+            (f * d + i, f): sign * w for f in range(span) for i, w in u.items()})
+    return Matrix._trusted(d * span, span, {
+        (i * span + f, f): w for i, w in u.items() for f in range(span)})
+
+
+def certify_acyclic(K: ChainComplex, unit: UnitWitness):
+    """Record the degrees below K's top as acyclic once the homotopy s of
+    unit, a one-sided unit of the algebra whose bar complex K is (flat
+    indices, over K.dims[0] basis vectors), passes
+    d_n s_n + s_{n-1} d_{n-1} = 1 on C_n, checked on K's own matrices
+    (Loday, Cyclic Homology, 1.4); a two-sided unit is taken as a left
+    one.  With no unit nothing is recorded, and a verified unit that
+    fails the identity raises ContractionFailure naming the degree.
+    s_n has one entry a row, so d_n s_n relabels d_n's columns and
+    builds no column lists of d_n."""
+    if not unit.found:
+        return
+    d, right = K.dims[0], unit.side == "right"
+    # an integral unit in ints, so that integral matrices stay integral
+    u = {i: v.numerator if v.denominator == 1 else v
+         for i, v in enumerate(unit.element) if v}
+    prev = None
+    for n in range(K.top_degree):
+        s = _homotopy(u, right, d, n)
+        at = {r: (f, w) for (r, f), w in s.entries.items()}
+        ents = {}
+        _accumulate(ents, (((r, at[c][0]), at[c][1] * v)
+                           for (r, c), v in K.diffs[n].entries.items()
+                           if c in at))
+        if prev is not None:
+            cols = prev.column_dicts()
+            _accumulate(ents, (((t, c), w * v)
+                               for (r, c), v in K.diffs[n - 1].entries.items()
+                               for t, w in cols[r].items()))
+        one = {(k, k): 1 for k in range(s.cols)}
+        if ents != one:
+            key = min(k for k in ents.keys() | one.keys()
+                      if ents.get(k, 0) != one.get(k, 0))
+            raise ContractionFailure(
+                "bar complex is not contracted by its %s unit at degree %d: "
+                "d_%d s_%d%s has entry %s at %r" % (
+                    unit.side, n, n, n,
+                    " + s_%d d_%d" % (n - 1, n - 1) if n else "",
+                    format_q(ents.get(key, 0)), key))
+        prev = s
+    K._acyclic = frozenset(range(K.top_degree))
 
 
 # -- cyclic quotient -------------------------------------------------
@@ -368,13 +431,20 @@ def _read_off(C_A: ChainComplex, counts) -> TheoryData:
     Ker -> C_A -> C(D) (incl, map_ad) is a valid short exact sequence
     by construction once Ker passes the closure check: the index lists
     of Ker and C(D) are disjoint and cover every coordinate, and the
-    closure check is the chain-map condition of both maps."""
+    closure check is the chain-map condition of both maps.
+
+    Ker and C(D) take C_A's acyclic record, C(B) never does.  The
+    homotopy of a unit of A, u (x) x or x (x) u, keeps every B slot of
+    x, so it maps Ker into Ker: the identity d s + s d = 1 restricts to
+    Ker and descends to C(D) = C_A / Ker.  Its slot for u is no B slot
+    unless u is in B, so C(B) is certified with B's own unit."""
     ker = [[k for k, c in enumerate(cn) if c] for cn in counts]
     only_b = [[k for k, c in enumerate(cn) if c == n + 1]
               for n, cn in enumerate(counts)]
     no_b = [[k for k, c in enumerate(cn) if not c] for cn in counts]
     sub, CB = _restrict(C_A, ker), _restrict(C_A, only_b)
     CD = _restrict(C_A, no_b, sub=False)
+    sub._acyclic = CD._acyclic = C_A._acyclic
     in_ker = [{t: k for k, t in enumerate(kn)} for kn in ker]
     return TheoryData(
         C_A, CB, CD, sub, _coordinate_map(sub, C_A, ker),

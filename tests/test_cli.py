@@ -9,7 +9,8 @@ import time
 import pytest
 
 import alghom
-from alghom import cli, complexes
+from alghom import cli, complexes, excision
+from alghom.algebra import UnitWitness
 from alghom.cli import main
 from alghom.complexes import LiftFailure
 from alghom.corpus import build
@@ -268,6 +269,26 @@ def test_internal_invariant_failure_exits_one(capsys, monkeypatch, e1_file):
     assert err.strip().splitlines() == [
         "internal invariant failed in layer complexes: LiftFailure: "
         "cycle of L in degree 2 has no preimage"]
+
+
+def test_contraction_failure_exits_one(capsys, monkeypatch, e1_file):
+    """A unit whose homotopy does not contract the bar complex is a bug:
+    here A = Q x Q's unit (1, 1) loses its second term, and the bar
+    layer's check names the degree on one line."""
+    real = excision.unit_witness
+
+    def dropped(alg):
+        w = real(alg)
+        return UnitWitness(w.side, w.element[:1] + [0] * (alg.dim - 1))
+
+    monkeypatch.setattr(excision, "unit_witness", dropped)
+    code, out, err = run(capsys, "excision", e1_file)
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "internal invariant failed in layer hochschild: ContractionFailure: "
+        "bar complex is not contracted by its two-sided unit at degree 0: "
+        "d_0 s_0 has entry 0 at (1, 1)"]
 
 
 # (descriptor, the parameter its error must name)

@@ -28,7 +28,7 @@ from alghom.excision import (
     check_bar_invariance, check_hlgy_cohlgy_equivalence, excision_report,
 )
 from alghom.hochschild import adapted_extension
-from alghom.linalg import Matrix
+from alghom.linalg import Matrix, format_q
 
 from support import (
     BASIS_CHANGE_DET_4, complex_one_degree_further, m3_plus_q, rebased,
@@ -570,3 +570,25 @@ def test_betti_duality_compares_every_group(theory, snake, group):
     node = next(nd for nd in rec["nodes"] if nd["group"] == group)
     node["dim"] += 1
     assert not excision._betti_duality_ok(candidates, snakes)
+
+
+@pytest.mark.parametrize("name", ["right_unital_corner", "nilpotent_corner"])
+def test_one_unit_witness_per_algebra(name, monkeypatch):
+    """A report solves B's unit equations once, and the hypothesis and
+    C(B)'s homotopy share that witness; A's are solved once, for the bar
+    C(A).  The reported element is the witness's."""
+    real, calls = excision.unit_witness, []
+
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(excision, "unit_witness", counted)
+    ext = build(name)
+    r = excision_report(ext, 1)
+    assert calls[0] is ext.B and len(calls) == 2
+    assert calls[1].dim == ext.A.dim
+    unit = real(ext.B)
+    assert r["hypothesis"]["unit"] == {
+        "side": unit.side, "element": unit.element and [
+            format_q(x) for x in unit.element]}

@@ -11,19 +11,21 @@ import pytest
 
 from alghom import complexes, hochschild, linalg
 from alghom.algebra import (
-    Algebra, AlgebraHom, Extension, preset, validate_extension,
+    Algebra, AlgebraHom, Extension, UnitWitness, preset, unit_witness,
+    validate_extension,
 )
 from alghom.complexes import (
-    check_chain_map, check_complex, cohomology_dims, dualize, homology_at,
-    homology_dims,
+    ChainComplex, check_chain_map, check_complex, cohomology_dims, dualize,
+    homology_at, homology_dims, induced_map_on_homology, long_exact_sequence,
 )
-from alghom.corpus import CORPUS, build
+from alghom.corpus import CORPUS, _coordinate_ideal, build
+from alghom.excision import build_theory
 from alghom.hochschild import (
-    ClosureViolation, DegreeCapExceeded, InducedMapNotWellDefined,
-    adapted_extension, bar_complex, check_degree_cap, connes_complex,
-    cyclic_complex, cyclic_kernel_subcomplex, cyclic_operator,
-    cyclic_quotient, hochschild_complex, kernel_subcomplex,
-    rotation_orbits, trace_space,
+    ClosureViolation, ContractionFailure, DegreeCapExceeded,
+    InducedMapNotWellDefined, adapted_extension, bar_complex,
+    certify_acyclic, check_degree_cap, connes_complex, cyclic_complex,
+    cyclic_kernel_subcomplex, cyclic_operator, cyclic_quotient,
+    hochschild_complex, kernel_subcomplex, rotation_orbits, trace_space,
 )
 from alghom.linalg import Matrix, ONE, Q, ZERO, kernel_basis, rank
 
@@ -445,6 +447,30 @@ def test_non_closed_restriction_names_degree(theory):
         _pieces(theory, _non_ideal_extension(), 0)
 
 
+@pytest.mark.parametrize("theory", ["simplicial", "bar", "cyclic"])
+def test_a_map_that_is_not_a_chain_map_is_caught_at_construction(theory):
+    """induced_map_on_homology skips the boundary loop next to a degree
+    recorded acyclic, because every map it is asked for passed the
+    read-off's closure check, which is the chain-map condition of incl
+    and map_ad.  With B = span{e11}, not an ideal, the coordinate
+    inclusion of the B-slot tensors is not a chain map, and the
+    read-off refuses it before any map exists."""
+    ext = _non_ideal_extension()
+    C_A, orbits = _direct(theory, ext.A, 1)
+    counts = hochschild._b_slot_counts(ext, C_A.top_degree)
+    if orbits is not None:
+        counts = [[counts[n][rep] for rep in o.reps]
+                  for n, o in enumerate(orbits)]
+    ker = [[k for k, c in enumerate(cn) if c] for cn in counts]
+    # the same index lists, without the closure check
+    unchecked = hochschild._restrict(C_A, ker, sub=False)
+    incl = hochschild._coordinate_map(unchecked, C_A, ker)
+    assert check_chain_map(incl) == 0
+    with pytest.raises(ClosureViolation,
+                       match="leaves the subcomplex at degree 0"):
+        _pieces(theory, ext, 1)
+
+
 # In M_2 (basis e11, e12, e21, e22), e12 (x) e21 has flat index 6 and
 # t_1 sends it to -e21 (x) e12 at index 9, its orbit's representative:
 # e_6 projects to -e_orbit, and d_0 e_6 = e11 - e22 is not zero.
@@ -553,3 +579,167 @@ def test_negative_degree_rejected():
         check_degree_cap(2, -1)
     with pytest.raises(ValueError):
         hochschild_complex(preset("field"), -3)
+
+
+# -- bar acyclicity by a checked contracting homotopy ----------------
+
+
+def _corner_ideal(corner, ideal):
+    """A corner's B as A, over the coordinate ideal of the indices
+    ideal: A has only the left (or only the right) unit of that B."""
+    return _coordinate_ideal(build(corner).B, ideal)
+
+
+# extensions whose A has one-sided units only, and one with no unit
+ONE_SIDED = {
+    "left-A-over-e12": lambda: _corner_ideal("left_unital_corner", [1]),
+    "left-A-over-A": lambda: _corner_ideal("left_unital_corner", [0, 1]),
+    "right-A-over-e12": lambda: _corner_ideal("right_unital_corner", [0]),
+    "right-A-over-A": lambda: _corner_ideal("right_unital_corner", [0, 1]),
+    "zero_mult": lambda: _coordinate_ideal(preset("zero_mult", d=2), [0]),
+}
+BAR_EXTENSIONS = {**CORPUS, **ONE_SIDED}
+
+
+def test_one_sided_extensions_have_the_units_they_are_named_for():
+    sides = {name: (unit_witness(adapted_extension(make()).A).side,
+                    unit_witness(make().B).side)
+             for name, make in ONE_SIDED.items()}
+    assert sides == {"left-A-over-e12": ("left", "none"),
+                     "left-A-over-A": ("left", "left"),
+                     "right-A-over-e12": ("right", "none"),
+                     "right-A-over-A": ("right", "right"),
+                     "zero_mult": ("none", "none")}
+
+
+def _bar_pieces(name, n_report):
+    """The bar theory of an extension, with which of its pieces are
+    certifiable: C(A), Ker and C(D) by a unit of A, C(B) by one of B."""
+    ext = adapted_extension(BAR_EXTENSIONS[name]())
+    td = build_theory(ext, n_report, "bar")
+    unital_a, unital_b = (unit_witness(alg).found for alg in (ext.A, ext.B))
+    return td, [(td.CA, unital_a), (td.sub, unital_a), (td.CD, unital_a),
+                (td.CB, unital_b)]
+
+
+@pytest.mark.parametrize("name", sorted(BAR_EXTENSIONS))
+def test_certified_bar_pieces_are_acyclic_by_ranks(name):
+    """Each bar piece certified by a unit's homotopy, and its dual, has
+    zero homology in degrees 0..n_report by ranks, with the record
+    withheld; an uncertified piece (no unit: C(B) of a nilpotent B, or
+    every piece of an A without one) has no record, and its homology
+    bases give the dims of ranks."""
+    n = 3
+    td, pieces = _bar_pieces(name, n)
+    N = n + 1
+    for K, certified in pieces:
+        bare = ChainComplex(K.dims, K.diffs)
+        dims = homology_dims(bare, n)
+        dual_dims = homology_dims(dualize(bare), N)[N - n:]
+        if certified:
+            assert K._acyclic == frozenset(range(n + 1))
+            assert dualize(K)._acyclic == frozenset(range(N - n, N + 1))
+            assert dims == dual_dims == [0] * (n + 1), K
+        else:
+            assert K._acyclic == dualize(K)._acyclic == frozenset()
+            assert [homology_at(K, k).dim for k in range(n + 1)] == dims
+            assert [homology_at(dualize(K), k).dim
+                    for k in range(N - n, N + 1)] == dual_dims
+
+
+def test_certified_bar_pieces_are_the_expected_ones():
+    """All nine corpus A's certify, and the C(B) of every corpus
+    extension but the two nilpotent ideals."""
+    certified = {name: [bool(K._acyclic) for K, _ in _bar_pieces(name, 1)[1]]
+                 for name in CORPUS}
+    assert all(c[:3] == [True] * 3 for c in certified.values())
+    assert sorted(name for name, c in certified.items() if not c[3]) == [
+        "nilpotent_augmentation", "nilpotent_corner"]
+
+
+@pytest.mark.parametrize("name", sorted(BAR_EXTENSIONS))
+def test_certified_bar_pieces_eliminate_nothing(name, monkeypatch):
+    """The homology and dims of a certified piece and of its dual run
+    no elimination; nor, for an A with a unit, does the snake sequence
+    of Ker -> C(A) -> C(D) or of its dual, maps and connecting maps
+    included."""
+    n = 2
+    td, pieces = _bar_pieces(name, n)
+    calls = []
+    real = linalg._echelon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    for K, certified in pieces:
+        if certified:
+            assert homology_dims(K, n) == cohomology_dims(K, n) == [0] * (n + 1)
+            for k in range(n + 1):
+                assert homology_at(K, k).dim == 0
+                assert homology_at(dualize(K), n + 1 - k).dim == 0
+    if pieces[0][1]:
+        long_exact_sequence(td.ses, 0, n)
+        long_exact_sequence(td.dual_ses(), 1, n + 1)
+    assert calls == []
+
+
+def test_class_coords_tests_cycles_on_a_certified_degree():
+    """On a degree recorded acyclic a chain has a class, 0, iff it is a
+    cycle: in the bar complex of Q, d_0 = 1 and d_1 = 0, so e_0 in C_1
+    is no cycle and e_0 in C_2 is one; and a map into C_1 that is not a
+    chain map is caught on a cycle of its source."""
+    K = bar_complex(preset("field"), 2)
+    certify_acyclic(K, unit_witness(preset("field")))
+    e0 = Matrix(1, 1, {(0, 0): 1})
+    assert homology_at(K, 1).class_coords(e0) is None
+    assert homology_at(K, 2).class_coords(e0) == Matrix.zero(0, 1)
+    assert homology_at(K, 0).class_coords(e0) == Matrix.zero(0, 1)
+    # Q in degree 1 only, mapped onto e_0 in C_1 of K
+    S = ChainComplex([0, 1, 0, 0], [Matrix.zero(0, 1), Matrix.zero(1, 0),
+                                    Matrix.zero(0, 0)])
+    psi = complexes.ChainMap(S, K, [Matrix.zero(1, 0), e0, Matrix.zero(1, 0),
+                                    Matrix.zero(1, 0)])
+    with pytest.raises(complexes.WellDefinednessViolation,
+                       match="cycle not sent to a cycle in degree 1"):
+        induced_map_on_homology(psi, 1)
+
+
+def _broken(witness, how):
+    """witness with its last nonzero term dropped ("drop"), or with a
+    one-sided unit taken for one of the other side ("side")."""
+    element = list(witness.element)
+    if how == "drop":
+        element[max(i for i, v in enumerate(element) if v)] = 0
+        return UnitWitness(witness.side, element)
+    return UnitWitness("left" if witness.side == "right" else "right", element)
+
+
+@pytest.mark.parametrize("name, how", [
+    ("matrix_block", "drop"), ("left-A-over-A", "drop"),
+    ("left-A-over-A", "side"), ("right-A-over-A", "drop"),
+    ("right-A-over-A", "side")])
+def test_a_wrong_unit_fails_the_identity(name, how):
+    """A unit with a term dropped, or a one-sided unit taken for one of
+    the other side, breaks d s + s d = 1: the check names the degree
+    and records nothing."""
+    ext = adapted_extension(BAR_EXTENSIONS[name]())
+    K = bar_complex(ext.A, 2)
+    with pytest.raises(ContractionFailure,
+                       match=r"^bar complex is not contracted by its "
+                             r"[\w-]+ unit at degree \d: d_\d s_\d"):
+        certify_acyclic(K, _broken(unit_witness(ext.A), how))
+    assert K._acyclic == frozenset()
+
+
+def test_a_right_unit_without_its_sign_fails_at_degree_1(monkeypatch):
+    """s_n = (-1)^n x (x) u: without the sign degree 0 still passes, and
+    degree 1 fails."""
+    ext = adapted_extension(ONE_SIDED["right-A-over-A"]())
+    real = hochschild._homotopy
+    monkeypatch.setattr(hochschild, "_homotopy", lambda u, right, d, n:
+                        real(u, right, d, n).scale((-1) ** n))
+    with pytest.raises(ContractionFailure, match=r"right unit at degree 1: "
+                                                 r"d_1 s_1 \+ s_0 d_0 has"):
+        certify_acyclic(bar_complex(ext.A, 2), unit_witness(ext.A))
