@@ -77,12 +77,16 @@ def validate_algebra(alg: Algebra):
     with both evaluated sides over Q; the empty list means the algebra is
     valid.  Both sides of (e_i e_j) e_k = e_i (e_j e_k) are products of
     structure constants, so an integral algebra is checked in int
-    arithmetic, and with e_i e_j = 0 only a k with e_j e_k != 0 can fail."""
+    arithmetic.  With e_i e_j = 0 only a k with e_j e_k != 0 can fail, so
+    the j visited, in order, are those with e_i e_j or some e_j e_k != 0."""
     violations, nonzero_after = [], [[] for _ in range(alg.dim)]
     for j, k in sorted(alg.mult):
         nonzero_after[j].append(k)
+    left_factors = [j for j in range(alg.dim) if nonzero_after[j]]
     for i in range(alg.dim):
-        for j in range(alg.dim):
+        extra = [j for j in nonzero_after[i] if not nonzero_after[j]]
+        # sorted() merges two sorted runs in linear time
+        for j in sorted(left_factors + extra) if extra else left_factors:
             for k in (range(alg.dim) if (i, j) in alg.mult
                       else nonzero_after[j]):
                 left = alg.product(alg.product_basis(i, j), {k: 1})

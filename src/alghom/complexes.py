@@ -17,6 +17,8 @@ dual, a closure-checked piece and Connes' quotient copy.  Dims need no
 basis, as rank d^T = rank d over Q.  A degree recorded acyclic by a
 checked contracting homotopy (hochschild.certify_acyclic) has H = 0
 with no basis and no elimination, and so has its dual degree.
+Induced maps test only that representatives go to cycles, as every map
+a report induces is a chain map (induced_map_on_homology).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .linalg import (
 
 
 class WellDefinednessViolation(Exception):
-    """A chain map failed to send cycles to cycles or boundaries to
-    boundaries; its ChainMap invariant is broken."""
+    """A map failed to send the representative cycles of its source to
+    cycles: it is not a chain map, and its ChainMap invariant is broken."""
 
 
 class NotAComplex(Exception):
@@ -104,7 +106,7 @@ def require_complex(K: ChainComplex, what: str) -> ChainComplex:
 @dataclass
 class DegreeHomology:
     dim: int
-    boundary_basis: Subspace | None     # None: a degree recorded acyclic
+    boundary_basis: Matrix | None     # None: a degree recorded acyclic
     rep_basis: Matrix          # columns: chosen representative cycles
     below: Matrix | None = None     # d_{n-1} of an acyclic degree n >= 1
 
@@ -120,11 +122,10 @@ class DegreeHomology:
             if self.below is not None and not (self.below @ vecs).is_zero():
                 return None
             return Matrix.zero(0, vecs.cols)
-        sol = solve_many(hstack([self.boundary_basis.basis, self.rep_basis]),
-                         vecs)
+        sol = solve_many(hstack([self.boundary_basis, self.rep_basis]), vecs)
         if sol is None:
             return None
-        nb = self.boundary_basis.dim
+        nb = self.boundary_basis.cols
         return Matrix(self.dim, vecs.cols, {(r - nb, c): v for (r, c), v
                                             in sol.entries.items() if r >= nb})
 
@@ -149,12 +150,9 @@ def homology_at(K: ChainComplex, n: int) -> DegreeHomology:
                           coordinate_rows=tuple(range(K.dims[0])))
     else:
         cycles = kernel_basis(K.diffs[n - 1])
-    if n < len(K.diffs):
-        boundaries = image_basis(K.diffs[n])
-    else:
-        boundaries = Subspace(K.dims[n], Matrix.zero(K.dims[n], 0),
-                              coordinate_rows=())
-    reps = extending_columns(cycles, boundaries.basis)
+    boundaries = (image_basis(K.diffs[n]).basis if n < len(K.diffs)
+                  else Matrix.zero(K.dims[n], 0))
+    reps = extending_columns(cycles, boundaries)
     return K._homology.setdefault(n, DegreeHomology(reps.cols, boundaries, reps))
 
 
@@ -240,28 +238,21 @@ def dualize_map(psi: ChainMap) -> ChainMap:
 
 
 def induced_map_on_homology(psi: ChainMap, n: int) -> Matrix:
-    """Matrix of H_n(psi) in the deterministic homology bases.
+    """Matrix of H_n(psi) in the deterministic homology bases: the
+    classes of psi_n of the source's representatives, by one solve, or
+    the empty matrix with no product when the source's H_n is 0.
 
-    Well-definedness (cycles to cycles, boundaries to boundaries) is
-    verified, not assumed, with one exception: a side recorded acyclic
-    has no boundary basis, and its boundary loop is skipped.  A chain
-    map sends boundaries to boundaries, and every map this is asked for
-    is one by a check that has run: incl, comp and map_ad by the
-    read-off's closure check (hochschild._read_off), and their duals as
-    the transposes of those.  An acyclic source gives the empty matrix;
-    an acyclic target keeps the cycle check (class_coords)."""
+    Precondition: psi is a chain map, so it sends boundaries to
+    boundaries and none is tested.  Every map a report induces is one by
+    a check that has run: incl, comp and map_ad by the read-off's
+    closure check (hochschild._restrict with sub=True), their duals as
+    transposes of those.  An image that is not a cycle still raises
+    WellDefinednessViolation."""
     src = homology_at(psi.source, n)
     tgt = homology_at(psi.target, n)
-    if src.boundary_basis is None:
+    if not src.dim:
         return Matrix.zero(tgt.dim, 0)
-    comp = psi.components[n]
-    if tgt.boundary_basis is not None:
-        for col in src.boundary_basis.basis.column_dicts():
-            img = comp.apply_dict(col)
-            if img and tgt.boundary_basis.coords(img) is None:
-                raise WellDefinednessViolation(
-                    "boundary not sent to a boundary in degree %d" % n)
-    coords = tgt.class_coords(comp @ src.rep_basis)
+    coords = tgt.class_coords(psi.components[n] @ src.rep_basis)
     if coords is None:
         raise WellDefinednessViolation(
             "cycle not sent to a cycle in degree %d" % n)

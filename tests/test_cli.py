@@ -461,18 +461,20 @@ def test_degree_cap_at_a_huge_degree(capsys, tmp_path):
 
 
 def test_degree_cap_of_an_algebra_with_no_products(capsys, tmp_path):
-    """Associativity is checked only where a side can be nonzero, so a
-    300-dimensional algebra with no products reaches the cap at once,
-    not after its 27 million basis triples."""
-    path = tmp_path / "z300.json"
-    path.write_text(json.dumps({"preset": "zero_mult", "d": 300}))
-    start = time.perf_counter()
-    code, out, err = run(capsys, "homology", str(path))
-    assert time.perf_counter() - start < 2
-    assert (code, out) == (3, "")
-    assert err == ("degree cap exceeded: degree 5 over a 300-dimensional "
-                   "algebra needs 729000000000000 basis tensors (cap "
-                   "1000000); pass force to override\n")
+    """Associativity is checked only where a side can be nonzero, and
+    only the j with a nonzero product are visited, so an algebra with no
+    products reaches the cap at once: not after the 27 million basis
+    triples of d = 300, nor the 10^10 pairs (i, j) of d = 100,000."""
+    for d, tensors in [(300, 729000000000000), (100000, 10 ** 30)]:
+        path = tmp_path / ("z%d.json" % d)
+        path.write_text(json.dumps({"preset": "zero_mult", "d": d}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "homology", str(path))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err == ("degree cap exceeded: degree 5 over a %d-dimensional "
+                       "algebra needs %d basis tensors (cap 1000000); pass "
+                       "force to override\n" % (d, tensors))
 
 
 def test_cli_as_a_process_exits_with_its_codes(tmp_path, m2_file):

@@ -592,3 +592,22 @@ def test_one_unit_witness_per_algebra(name, monkeypatch):
     assert r["hypothesis"]["unit"] == {
         "side": unit.side, "element": unit.element and [
             format_q(x) for x in unit.element]}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_reports_test_no_boundary_membership(name, monkeypatch):
+    """Induced maps read H_n(psi) off the images of the representatives
+    alone: every map a report induces is a chain map by the read-off's
+    closure check or the transpose of one, so no report asks whether a
+    vector lies in a boundary space (Subspace.coords).  At the bench
+    degrees: 3, or 2 when dim A >= 4."""
+    ext = build(name)
+    real, calls = linalg.Subspace.coords, []
+
+    def counted(self, vec):
+        calls.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(linalg.Subspace, "coords", counted)
+    excision_report(ext, 3 if ext.A.dim <= 3 else 2)
+    assert len(calls) == 0

@@ -5,7 +5,7 @@ matrices; structural properties (RREF canonicity, solver correctness)
 are hypothesis properties.
 """
 
-import os
+import pathlib
 import random
 
 import pytest
@@ -535,10 +535,10 @@ def test_echelon_does_not_depend_on_the_row_order():
 def test_elimination_happens_only_in_linalg():
     """No alghom module but linalg names _echelon, so patching
     linalg._echelon sees every elimination."""
-    package = os.path.dirname(linalg.__file__)
-    users = sorted(name for name in os.listdir(package)
-                   if name.endswith(".py") and name != "linalg.py"
-                   and "_echelon" in open(os.path.join(package, name)).read())
+    package = pathlib.Path(linalg.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if path.name != "linalg.py"
+                   and "_echelon" in path.read_text())
     assert users == []
 
 
