@@ -273,21 +273,19 @@ class UnitWitness:
 
 
 def _unit_system(alg: Algebra, side: str):
-    # left: sum_i x_i c[i][j][k] = delta_jk ; right: sum_i x_i c[j][i][k]
-    ents = {}
-    rhs = {}
-    row = 0
-    for j in range(alg.dim):
-        for k in range(alg.dim):
-            for i in range(alg.dim):
-                c = (alg.product_basis(i, j) if side == "left"
-                     else alg.product_basis(j, i)).get(k)
-                if c:
-                    ents[(row, i)] = c
-            if j == k:
-                rhs[(row, 0)] = 1
-            row += 1
-    return Matrix(row, alg.dim, ents), Matrix(row, 1, rhs)
+    """The unit equations (M, rhs) of one side, row j * dim + k for the
+    pair (j, k): sum_i x_i c_ij^k = delta_jk (left), or with c_ji^k
+    (right).  Each nonzero structure constant is the entry at column i,
+    so the cost is O(nnz + dim), not dim^3."""
+    d = alg.dim
+    if side == "left":
+        ents = {(j * d + k, i): c for (i, j), prod in alg.mult.items()
+                for k, c in prod.items()}
+    else:
+        ents = {(j * d + k, i): c for (j, i), prod in alg.mult.items()
+                for k, c in prod.items()}
+    return (Matrix(d * d, d, ents),
+            Matrix(d * d, 1, {(j * d + j, 0): 1 for j in range(d)}))
 
 
 def find_one_sided_unit(alg: Algebra, side: str) -> UnitWitness:
@@ -307,18 +305,17 @@ def find_one_sided_unit(alg: Algebra, side: str) -> UnitWitness:
 
 
 def unit_witness(alg: Algebra) -> UnitWitness:
-    """Best available unit: two-sided when both one-sided units exist
-    (they then coincide), otherwise whichever side is found."""
+    """Best available unit: two-sided when both one-sided units exist,
+    otherwise whichever side is found.  A left unit e equals any right
+    unit f (e = ef = f), so with e found a right unit exists iff b e = b
+    on each basis element b: the right side is solved only without e."""
     left = find_one_sided_unit(alg, "left")
-    right = find_one_sided_unit(alg, "right")
-    if left.found and right.found:
-        # a left unit and a right unit are automatically equal
+    if not left.found:
+        return find_one_sided_unit(alg, "right")
+    e = {i: v for i, v in enumerate(left.element) if v}
+    if all(alg.product({b: 1}, e) == {b: 1} for b in range(alg.dim)):
         return UnitWitness("two-sided", left.element)
-    if left.found:
-        return left
-    if right.found:
-        return right
-    return UnitWitness("none")
+    return left
 
 
 # -- splittings and quotient construction ----------------------------

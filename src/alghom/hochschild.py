@@ -164,17 +164,16 @@ def bar_complex(A: Algebra, n_report: int, force: bool = False) -> ChainComplex:
                            "bar complex")
 
 
-def _homotopy(u: dict, right: bool, d: int, n: int) -> Matrix:
+def _insertion(u: dict, right: bool, d: int, n: int):
     """s_n: C_n -> C_{n+1} of the bar complex of a d-dimensional algebra
-    with the one-sided unit sum_i u[i] e_i, in flat indices: x -> u (x) x
-    for a left unit, x -> (-1)^n x (x) u for a right one (right)."""
-    span = d ** (n + 1)
+    with the one-sided unit sum_i u[i] e_i, as the index map (step,
+    stride, coef): s_n e_f = sum_i coef[i] e_(i step + f stride).  A
+    left unit goes in front, x -> u (x) x at i d^(n+1) + f; a right one
+    behind with its sign, x -> (-1)^n x (x) u at f d + i."""
     if right:
         sign = -1 if n % 2 else 1
-        return Matrix._trusted(d * span, span, {
-            (f * d + i, f): sign * w for f in range(span) for i, w in u.items()})
-    return Matrix._trusted(d * span, span, {
-        (i * span + f, f): w for i, w in u.items() for f in range(span)})
+        return 1, d, {i: sign * w for i, w in u.items()}
+    return d ** (n + 1), 1, u
 
 
 def certify_acyclic(K: ChainComplex, unit: UnitWitness):
@@ -185,28 +184,27 @@ def certify_acyclic(K: ChainComplex, unit: UnitWitness):
     (Loday, Cyclic Homology, 1.4); a two-sided unit is taken as a left
     one.  With no unit nothing is recorded, and a verified unit that
     fails the identity raises ContractionFailure naming the degree.
-    s_n has one entry a row, so d_n s_n relabels d_n's columns and
-    builds no column lists of d_n."""
+    s is never built: _insertion's index map is applied to the columns
+    of d_n for d_n s_n, and to the rows of d_{n-1} for s_{n-1} d_{n-1}."""
     if not unit.found:
         return
     d, right = K.dims[0], unit.side == "right"
     # an integral unit in ints, so that integral matrices stay integral
     u = {i: v.numerator if v.denominator == 1 else v
          for i, v in enumerate(unit.element) if v}
-    prev = None
     for n in range(K.top_degree):
-        s = _homotopy(u, right, d, n)
-        at = {r: (f, w) for (r, f), w in s.entries.items()}
-        ents = {}
-        _accumulate(ents, (((r, at[c][0]), at[c][1] * v)
+        span, ents = d ** (n + 1), {}
+        step, stride, coef = _insertion(u, right, d, n)
+        # column c = i step + f stride of d_n, with i < d and f < span
+        _accumulate(ents, (((r, c // stride % span), coef[c // step % d] * v)
                            for (r, c), v in K.diffs[n].entries.items()
-                           if c in at))
-        if prev is not None:
-            cols = prev.column_dicts()
-            _accumulate(ents, (((t, c), w * v)
+                           if c // step % d in coef))
+        if n:
+            step, stride, coef = _insertion(u, right, d, n - 1)
+            _accumulate(ents, (((i * step + r * stride, c), w * v)
                                for (r, c), v in K.diffs[n - 1].entries.items()
-                               for t, w in cols[r].items()))
-        one = {(k, k): 1 for k in range(s.cols)}
+                               for i, w in coef.items()))
+        one = {(k, k): 1 for k in range(span)}
         if ents != one:
             key = min(k for k in ents.keys() | one.keys()
                       if ents.get(k, 0) != one.get(k, 0))
@@ -216,7 +214,6 @@ def certify_acyclic(K: ChainComplex, unit: UnitWitness):
                     unit.side, n, n, n,
                     " + s_%d d_%d" % (n - 1, n - 1) if n else "",
                     format_q(ents.get(key, 0)), key))
-        prev = s
     K._acyclic = frozenset(range(K.top_degree))
 
 

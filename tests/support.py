@@ -11,17 +11,22 @@ homology and cohomology dims read off homology bases as the oracle for
 the dims read off ranks, the RREF of every line as the oracle for the
 RREF of the rank-increasing lines, representatives picked on
 [boundaries | cycles] as the oracle for the pick in cycle coordinates,
-and dense and section constructors for matrices."""
+the unit equations of every basis triple and the solve of both sides as
+the oracle for the unit equations read off the nonzero products and for
+unit_witness, the homotopy of a one-sided unit as a matrix as the
+oracle for the index map of certify_acyclic, extensions whose A has a
+one-sided unit only, and dense and section constructors for
+matrices."""
 
 import random
 
-from alghom.algebra import Algebra, preset, quotient_extension
+from alghom.algebra import Algebra, UnitWitness, preset, quotient_extension
 from alghom.complexes import (
     ChainComplex, ChainMap, ShortExactSequenceOfComplexes, check_complex,
     check_ses, connecting_homomorphism, dualize, dualize_map, homology_at,
     induced_map_on_homology, long_exact_sequence, require_complex,
 )
-from alghom.corpus import _coordinate_ideal
+from alghom.corpus import _coordinate_ideal, build
 from alghom.hochschild import _build_complex
 from alghom.linalg import (
     Cokernel, Matrix, ONE, Q, Subspace, ZERO, _echelon, _shared_rref, hstack,
@@ -454,3 +459,87 @@ def rep_basis_on_hstack(K: ChainComplex, n: int) -> Matrix:
     columns = cycles.column_dicts()
     return Matrix.from_columns(K.dims[n], [columns[c - nb]
                                            for c, _ in pivots if c >= nb])
+
+
+def unit_system_over_every_triple(alg: Algebra, side: str):
+    """The unit equations of one side visiting all dim^3 index triples:
+    row j * dim + k is sum_i x_i c[i][j][k] = delta_jk (left) or
+    sum_i x_i c[j][i][k] = delta_jk (right).  The oracle for
+    algebra._unit_system, which reads the nonzero products only."""
+    ents = {}
+    rhs = {}
+    row = 0
+    for j in range(alg.dim):
+        for k in range(alg.dim):
+            for i in range(alg.dim):
+                c = (alg.product_basis(i, j) if side == "left"
+                     else alg.product_basis(j, i)).get(k)
+                if c:
+                    ents[(row, i)] = c
+            if j == k:
+                rhs[(row, 0)] = 1
+            row += 1
+    return Matrix(row, alg.dim, ents), Matrix(row, 1, rhs)
+
+
+def unit_witness_by_two_solves(alg: Algebra) -> UnitWitness:
+    """The unit witness from solving both sides' equations of every
+    triple: two-sided when both solve (the left solution is kept),
+    otherwise the side that solves.  The oracle for unit_witness, which
+    solves the right side only when there is no left unit."""
+    found = {}
+    for side in ("left", "right"):
+        if alg.dim == 0:
+            found[side] = []
+            continue
+        sol = solve_many(*unit_system_over_every_triple(alg, side))
+        if sol is not None:
+            x = sol.column(0)
+            found[side] = [x.get(i, ZERO) for i in range(alg.dim)]
+    if len(found) == 2:
+        return UnitWitness("two-sided", found["left"])
+    if found:
+        (side, element), = found.items()
+        return UnitWitness(side, element)
+    return UnitWitness("none")
+
+
+def homotopy_matrix(unit: UnitWitness, d: int, n: int) -> Matrix:
+    """s_n: C_n -> C_{n+1} of the bar complex of a d-dimensional algebra
+    for the one-sided unit witness unit, as a matrix in flat indices:
+    x -> u (x) x for a left (or two-sided) unit, x -> (-1)^n x (x) u for
+    a right one.  The oracle for the index map of certify_acyclic."""
+    u = {i: v for i, v in enumerate(unit.element) if v}
+    span = d ** (n + 1)
+    if unit.side == "right":
+        sign = -1 if n % 2 else 1
+        return Matrix(d * span, span, {
+            (f * d + i, f): sign * w for f in range(span) for i, w in u.items()})
+    return Matrix(d * span, span, {
+        (i * span + f, f): w for i, w in u.items() for f in range(span)})
+
+
+def contraction_by_matrices(K: ChainComplex, unit: UnitWitness, n: int) -> Matrix:
+    """d_n s_n + s_{n-1} d_{n-1} on C_n of the bar complex K, by Matrix
+    products of K's differentials and homotopy_matrix."""
+    d = K.dims[0]
+    out = K.diffs[n] @ homotopy_matrix(unit, d, n)
+    if n:
+        out = out + homotopy_matrix(unit, d, n - 1) @ K.diffs[n - 1]
+    return out
+
+
+def _corner_ideal(corner, ideal):
+    """A corner's B as A, over the coordinate ideal of the indices
+    ideal: A has only the left (or only the right) unit of that B."""
+    return _coordinate_ideal(build(corner).B, ideal)
+
+
+# extensions whose A has one-sided units only, and one with no unit
+ONE_SIDED = {
+    "left-A-over-e12": lambda: _corner_ideal("left_unital_corner", [1]),
+    "left-A-over-A": lambda: _corner_ideal("left_unital_corner", [0, 1]),
+    "right-A-over-e12": lambda: _corner_ideal("right_unital_corner", [0]),
+    "right-A-over-A": lambda: _corner_ideal("right_unital_corner", [0, 1]),
+    "zero_mult": lambda: _coordinate_ideal(preset("zero_mult", d=2), [0]),
+}

@@ -11,9 +11,14 @@ from alghom.algebra import (
 )
 from alghom import algebra, linalg
 from alghom.corpus import CORPUS, build
+from alghom.hochschild import adapted_extension
 from alghom.linalg import Matrix, ONE, Q
 
-from support import from_dense, violations_over_every_triple
+from support import (
+    BASIS_CHANGE, BASIS_CHANGE_DET_4, ONE_SIDED, from_dense, rebased,
+    unit_system_over_every_triple, unit_witness_by_two_solves,
+    violations_over_every_triple,
+)
 
 
 ALL_PRESETS = [
@@ -151,6 +156,71 @@ def test_one_sided_unit_search_sides():
     B = build("left_unital_corner").B
     assert find_one_sided_unit(B, "left").found
     assert not find_one_sided_unit(B, "right").found
+
+
+def _unit_algebras():
+    """(id, algebra): the presets; the A, B and D of the corpus, of the
+    one-sided extensions and of the corpus rebased in two bases; and
+    the adapted A of each of those extensions."""
+    presets = [preset("field"), preset("truncated_poly", m=1),
+               preset("truncated_poly", m=4), preset("matrix", k=1),
+               preset("matrix", k=3), preset("upper_triangular", k=3),
+               preset("direct_sum", a=preset("field"), b=preset("matrix", k=2)),
+               preset("direct_sum", a=build("left_unital_corner").B,
+                      b=preset("zero_mult", d=1))]
+    presets += [preset("zero_mult", d=d) for d in range(4)]
+    out = [("preset%d-dim%d" % (k, alg.dim), alg)
+           for k, alg in enumerate(presets)]
+    exts = [(name, make()) for name, make in sorted({**CORPUS,
+                                                     **ONE_SIDED}.items())]
+    exts += [("%s-rebased-%s" % (name, tag), rebased(build(name), S))
+             for name in sorted(CORPUS) if build(name).A.dim == 3
+             for tag, S in (("det1", BASIS_CHANGE), ("det4", BASIS_CHANGE_DET_4))]
+    for name, ext in exts:
+        out += [("%s-%s" % (name, part), getattr(ext, part)) for part in "ABD"]
+        out.append(("%s-adapted-A" % name, adapted_extension(ext).A))
+    return out
+
+
+UNIT_ALGEBRAS = _unit_algebras()
+
+
+@pytest.mark.parametrize("alg", [alg for _, alg in UNIT_ALGEBRAS],
+                         ids=[name for name, _ in UNIT_ALGEBRAS])
+def test_unit_equations_match_the_loop_over_every_triple(alg):
+    """Both sides' unit equations, read off the nonzero products, are the
+    matrices of the loop over every index triple, and unit_witness,
+    which solves the right side only without a left unit, gives the
+    witness of solving both."""
+    for side in ("left", "right"):
+        assert algebra._unit_system(alg, side) == unit_system_over_every_triple(
+            alg, side)
+    assert unit_witness(alg) == unit_witness_by_two_solves(alg)
+
+
+def test_unit_algebras_have_every_side():
+    sides = {unit_witness_by_two_solves(alg).side for _, alg in UNIT_ALGEBRAS}
+    assert sides == {"two-sided", "left", "right", "none"}
+
+
+def test_a_left_unit_is_found_by_one_solve(monkeypatch):
+    """With a left unit (here two-sided, or left only) the right
+    equations are never solved; without one they are."""
+    sides = []
+    real = algebra.find_one_sided_unit
+
+    def counted(alg, side):
+        sides.append(side)
+        return real(alg, side)
+
+    monkeypatch.setattr(algebra, "find_one_sided_unit", counted)
+    for alg, solved in [(preset("matrix", k=2), ["left"]),
+                        (build("left_unital_corner").B, ["left"]),
+                        (build("right_unital_corner").B, ["left", "right"]),
+                        (preset("zero_mult", d=2), ["left", "right"])]:
+        sides.clear()
+        unit_witness(alg)
+        assert sides == solved
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

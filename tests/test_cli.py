@@ -10,10 +10,10 @@ import pytest
 
 import alghom
 from alghom import cli, complexes, excision
-from alghom.algebra import UnitWitness
+from alghom.algebra import UnitWitness, preset
 from alghom.cli import main
 from alghom.complexes import LiftFailure
-from alghom.corpus import build
+from alghom.corpus import _coordinate_ideal, build
 from alghom.excision import check_bar_invariance, excision_report
 from alghom.fileio import dump_document, load_document
 from alghom.linalg import Q
@@ -475,6 +475,23 @@ def test_degree_cap_of_an_algebra_with_no_products(capsys, tmp_path):
         assert err == ("degree cap exceeded: degree 5 over a %d-dimensional "
                        "algebra needs %d basis tensors (cap 1000000); pass "
                        "force to override\n" % (d, tensors))
+
+
+def test_an_extension_over_the_cap_is_refused_quickly(capsys, tmp_path):
+    """A valid extension of zero_mult(300) by its first 299 coordinates
+    is refused by the degree cap after validation and the unit search
+    of B, whose equations are read off the nonzero products: not after
+    the 299^3 index triples of the unit equations."""
+    ext = _coordinate_ideal(preset("zero_mult", d=300), range(299))
+    path = tmp_path / "z300.json"
+    dump_document(ext, str(path))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "excision", str(path))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err == ("degree cap exceeded: degree 5 over a 300-dimensional "
+                   "algebra needs 729000000000000 basis tensors (cap "
+                   "1000000); pass force to override\n")
 
 
 def test_cli_as_a_process_exits_with_its_codes(tmp_path, m2_file):

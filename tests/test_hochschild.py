@@ -18,7 +18,7 @@ from alghom.complexes import (
     ChainComplex, check_chain_map, check_complex, cohomology_dims, dualize,
     homology_at, homology_dims, induced_map_on_homology, long_exact_sequence,
 )
-from alghom.corpus import CORPUS, _coordinate_ideal, build
+from alghom.corpus import CORPUS, build
 from alghom.excision import build_theory
 from alghom.hochschild import (
     ClosureViolation, ContractionFailure, DegreeCapExceeded,
@@ -27,10 +27,11 @@ from alghom.hochschild import (
     cyclic_kernel_subcomplex, cyclic_operator, cyclic_quotient,
     hochschild_complex, kernel_subcomplex, rotation_orbits, trace_space,
 )
-from alghom.linalg import Matrix, ONE, Q, ZERO, kernel_basis, rank
+from alghom.linalg import Matrix, ONE, Q, ZERO, format_q, kernel_basis, rank
 
 from support import (
-    basis_dims, complex_one_degree_further, from_dense, kron_power, rebased,
+    ONE_SIDED, basis_dims, complex_one_degree_further,
+    contraction_by_matrices, from_dense, kron_power, rebased,
     rep_basis_on_hstack, section, verify_kernel_span,
 )
 
@@ -584,20 +585,6 @@ def test_negative_degree_rejected():
 # -- bar acyclicity by a checked contracting homotopy ----------------
 
 
-def _corner_ideal(corner, ideal):
-    """A corner's B as A, over the coordinate ideal of the indices
-    ideal: A has only the left (or only the right) unit of that B."""
-    return _coordinate_ideal(build(corner).B, ideal)
-
-
-# extensions whose A has one-sided units only, and one with no unit
-ONE_SIDED = {
-    "left-A-over-e12": lambda: _corner_ideal("left_unital_corner", [1]),
-    "left-A-over-A": lambda: _corner_ideal("left_unital_corner", [0, 1]),
-    "right-A-over-e12": lambda: _corner_ideal("right_unital_corner", [0]),
-    "right-A-over-A": lambda: _corner_ideal("right_unital_corner", [0, 1]),
-    "zero_mult": lambda: _coordinate_ideal(preset("zero_mult", d=2), [0]),
-}
 BAR_EXTENSIONS = {**CORPUS, **ONE_SIDED}
 
 
@@ -723,23 +710,53 @@ def _broken(witness, how):
 def test_a_wrong_unit_fails_the_identity(name, how):
     """A unit with a term dropped, or a one-sided unit taken for one of
     the other side, breaks d s + s d = 1: the check names the degree
-    and records nothing."""
+    and records nothing.  That degree is the first where the Matrix
+    products with s_n built as a matrix miss the identity, and the
+    message names that matrix's first wrong entry and its value."""
     ext = adapted_extension(BAR_EXTENSIONS[name]())
-    K = bar_complex(ext.A, 2)
+    K, unit = bar_complex(ext.A, 2), _broken(unit_witness(ext.A), how)
+    for n in range(K.top_degree):
+        M, one = contraction_by_matrices(K, unit, n), Matrix.identity(K.dims[n])
+        if M != one:
+            break
+    key = min(k for k in M.entries.keys() | one.entries.keys()
+              if M.entries.get(k, 0) != one.entries.get(k, 0))
     with pytest.raises(ContractionFailure,
                        match=r"^bar complex is not contracted by its "
-                             r"[\w-]+ unit at degree \d: d_\d s_\d"):
-        certify_acyclic(K, _broken(unit_witness(ext.A), how))
+                             r"[\w-]+ unit at degree \d: d_\d s_\d") as failure:
+        certify_acyclic(K, unit)
     assert K._acyclic == frozenset()
+    assert str(failure.value).endswith(
+        "at degree %d: d_%d s_%d%s has entry %s at %r" % (
+            n, n, n, " + s_%d d_%d" % (n - 1, n - 1) if n else "",
+            format_q(M.entries.get(key, 0)), key))
 
 
-def test_a_right_unit_without_its_sign_fails_at_degree_1(monkeypatch):
-    """s_n = (-1)^n x (x) u: without the sign degree 0 still passes, and
-    degree 1 fails."""
-    ext = adapted_extension(ONE_SIDED["right-A-over-A"]())
-    real = hochschild._homotopy
-    monkeypatch.setattr(hochschild, "_homotopy", lambda u, right, d, n:
-                        real(u, right, d, n).scale((-1) ** n))
-    with pytest.raises(ContractionFailure, match=r"right unit at degree 1: "
-                                                 r"d_1 s_1 \+ s_0 d_0 has"):
-        certify_acyclic(bar_complex(ext.A, 2), unit_witness(ext.A))
+def test_a_failure_past_degree_0_names_both_terms():
+    """The bar complex of Q with d_1 set to [1] (so d o d != 0): degree
+    0 passes, and degree 1 fails with d_1 s_1 + s_0 d_0 = 1 + 1."""
+    K = bar_complex(preset("field"), 1)
+    bent = ChainComplex(K.dims, [K.diffs[0], Matrix(1, 1, {(0, 0): 1})])
+    with pytest.raises(ContractionFailure, match=(
+            r"^bar complex is not contracted by its two-sided unit at "
+            r"degree 1: d_1 s_1 \+ s_0 d_0 has entry 2 at \(0, 0\)$")):
+        certify_acyclic(bent, unit_witness(preset("field")))
+    assert bent._acyclic == frozenset()
+
+
+@pytest.mark.parametrize("name", sorted(BAR_EXTENSIONS))
+def test_the_recorded_homotopy_contracts_as_matrices(name):
+    """Each bar piece that certify_acyclic records, C(A) with A's unit
+    and C(B) with B's, passes d_n s_n + s_{n-1} d_{n-1} = 1 in every
+    degree below its top by Matrix products with s_n built as a matrix;
+    a piece it does not record has no unit."""
+    ext = adapted_extension(BAR_EXTENSIONS[name]())
+    td = build_theory(ext, 2, "bar")
+    for K, alg in ((td.CA, ext.A), (td.CB, ext.B)):
+        unit = unit_witness(alg)
+        assert K._acyclic == (frozenset(range(K.top_degree)) if unit.found
+                              else frozenset())
+        if unit.found:
+            for n in range(K.top_degree):
+                assert (contraction_by_matrices(K, unit, n)
+                        == Matrix.identity(K.dims[n])), (name, n)

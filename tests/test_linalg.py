@@ -5,6 +5,7 @@ matrices; structural properties (RREF canonicity, solver correctness)
 are hypothesis properties.
 """
 
+import ast
 import pathlib
 import random
 
@@ -540,6 +541,36 @@ def test_elimination_happens_only_in_linalg():
                    if path.name != "linalg.py"
                    and "_echelon" in path.read_text())
     assert users == []
+
+
+def test_every_private_module_name_is_used():
+    """Each module-level _name of src/alghom (function, class or
+    constant; dunders excepted) is read somewhere in the package, as a
+    name or an import: a leftover that nothing calls fails here."""
+    package = pathlib.Path(linalg.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    defined, used = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert defined
+    assert [(module, name) for module, name in defined
+            if name not in used] == []
 
 
 @pytest.mark.parametrize("reduce_source", [kernel_basis, image_basis, cokernel],
