@@ -40,8 +40,8 @@ from .complexes import (
 )
 from .hochschild import (
     TheoryData, adapted_extension, bar_complex, certify_acyclic,
-    connes_complex, cyclic_kernel_subcomplex, hochschild_complex,
-    kernel_subcomplex,
+    check_degree_cap, connes_complex, cyclic_kernel_subcomplex,
+    hochschild_complex, kernel_subcomplex,
 )
 from .linalg import Matrix, format_q, rank, solve_many
 
@@ -209,6 +209,8 @@ def excision_report(ext: Extension, n_report: int = 3, force: bool = False) -> d
     assumption; a nonzero defect then means the implementation is wrong
     and the verdict says so."""
     _require_valid(ext)
+    # over the cap, refuse before any work that grows with dim A
+    check_degree_cap(ext.A.dim, n_report, force)
     adapted = adapted_extension(ext)
     # B's one unit witness: the hypothesis and C(B)'s homotopy share it
     unit = unit_witness(adapted.B)

@@ -361,15 +361,14 @@ def adapted_extension(ext: Extension) -> Extension:
 
 
 def _restrict(K: ChainComplex, keep, sub: bool = True):
-    """The coordinate piece of K on the increasing index lists keep[n].
-
-    sub=True: keep must span a subcomplex, and an entry of a kept column
-    in a dropped row raises ClosureViolation.  sub=False: the quotient
-    by the complementary coordinates, whose entries are dropped; valid
-    only once the complement has passed the subcomplex check."""
-    diffs = []
+    """The coordinate piece of K on the increasing index lists keep[n],
+    with its inclusion (sub=True) or projection (sub=False): one entry 1
+    per kept coordinate, clean by construction.  sub=True: keep must
+    span a subcomplex, and an entry of a kept column in a dropped row
+    raises ClosureViolation.  sub=False: the quotient by the dropped
+    coordinates, valid only once they have passed that check."""
+    diffs, rows = [], {r: k for k, r in enumerate(keep[0])}
     for n, d in enumerate(K.diffs):
-        rows = {r: k for k, r in enumerate(keep[n])}
         cols = {c: k for k, c in enumerate(keep[n + 1])}
         ents = {}
         for (r, c), v in d.entries.items():
@@ -378,26 +377,23 @@ def _restrict(K: ChainComplex, keep, sub: bool = True):
             elif c in cols and sub:
                 raise ClosureViolation(
                     "differential leaves the subcomplex at degree %d" % n)
-        diffs.append(Matrix._trusted(len(keep[n]), len(keep[n + 1]), ents))
+        diffs.append(Matrix._trusted(len(rows), len(cols), ents))
+        rows = cols
     piece = ChainComplex([len(k) for k in keep], diffs)
     piece._checked = K._checked
-    return piece
-
-
-def _coordinate_map(source, target, positions, project=False) -> ChainMap:
-    """Coordinate k of source to coordinate positions[n][k] of target;
-    with project, the projection of source onto those coordinates."""
-    return ChainMap(source, target, [Matrix(
+    source, target = (piece, K) if sub else (K, piece)
+    return piece, ChainMap(source, target, [Matrix._trusted(
         target.dims[n], source.dims[n],
-        {(k, p) if project else (p, k): 1 for k, p in enumerate(pos)})
-        for n, pos in enumerate(positions)])
+        {(t, k) if sub else (k, t): 1 for k, t in enumerate(kn)})
+        for n, kn in enumerate(keep)])
 
 
 @dataclass
 class TheoryData:
     """One homology theory's complexes and maps for an extension.  CA
     is the complex of the adapted A (adapted_extension); the other
-    complexes and the maps are coordinate pieces of it."""
+    complexes are coordinate pieces of it, each made by one _restrict
+    together with its map: sub and CD from CA, CB from sub."""
 
     CA: ChainComplex
     CB: ChainComplex
@@ -422,13 +418,17 @@ class TheoryData:
 def _read_off(C_A: ChainComplex, counts) -> TheoryData:
     """Split C_A by counts[n][k], the number of B slots of the tensor
     behind coordinate k in degree n: Ker has some, C(B) only B slots,
-    and the quotient C(D) none.  C(B) maps to C_A through Ker, as
-    incl o comp.
+    and the quotient C(D) none.  Each piece comes with its map from one
+    _restrict; C(B) is cut from Ker, at the positions b_in_ker[n] in
+    ker[n] of its tensors, and keeps the flat order of B's own complex.
 
     Ker -> C_A -> C(D) (incl, map_ad) is a valid short exact sequence
     by construction once Ker passes the closure check: the index lists
     of Ker and C(D) are disjoint and cover every coordinate, and the
-    closure check is the chain-map condition of both maps.
+    closure check is the chain-map condition of both maps.  C(B)'s check
+    inside Ker is the one inside C_A: Ker's runs first and C(B)'s
+    columns are Ker columns, so an entry in a row outside Ker has
+    already raised, on the same input and at the same degree.
 
     Ker and C(D) take C_A's acyclic record, C(B) never does.  The
     homotopy of a unit of A, u (x) x or x (x) u, keeps every B slot of
@@ -436,18 +436,14 @@ def _read_off(C_A: ChainComplex, counts) -> TheoryData:
     Ker and descends to C(D) = C_A / Ker.  Its slot for u is no B slot
     unless u is in B, so C(B) is certified with B's own unit."""
     ker = [[k for k, c in enumerate(cn) if c] for cn in counts]
-    only_b = [[k for k, c in enumerate(cn) if c == n + 1]
-              for n, cn in enumerate(counts)]
+    b_in_ker = [[p for p, k in enumerate(kn) if counts[n][k] == n + 1]
+                for n, kn in enumerate(ker)]
     no_b = [[k for k, c in enumerate(cn) if not c] for cn in counts]
-    sub, CB = _restrict(C_A, ker), _restrict(C_A, only_b)
-    CD = _restrict(C_A, no_b, sub=False)
+    sub, incl = _restrict(C_A, ker)
+    CB, comp = _restrict(sub, b_in_ker)
+    CD, map_ad = _restrict(C_A, no_b, sub=False)
     sub._acyclic = CD._acyclic = C_A._acyclic
-    in_ker = [{t: k for k, t in enumerate(kn)} for kn in ker]
-    return TheoryData(
-        C_A, CB, CD, sub, _coordinate_map(sub, C_A, ker),
-        _coordinate_map(CB, sub, [[at[t] for t in ob]
-                                  for at, ob in zip(in_ker, only_b)]),
-        _coordinate_map(C_A, CD, no_b, project=True))
+    return TheoryData(C_A, CB, CD, sub, incl, comp, map_ad)
 
 
 def _b_slot_counts(ext: Extension, top: int):

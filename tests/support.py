@@ -14,19 +14,29 @@ RREF of the rank-increasing lines, representatives picked on
 the unit equations of every basis triple and the solve of both sides as
 the oracle for the unit equations read off the nonzero products and for
 unit_witness, the homotopy of a one-sided unit as a matrix as the
-oracle for the index map of certify_acyclic, extensions whose A has a
-one-sided unit only, and dense and section constructors for
-matrices."""
+oracle for the index map of certify_acyclic, coordinate maps through
+the checked constructor as the oracle for the maps of the read-off,
+extensions whose A has a one-sided unit only, the CLI's bytes as
+digests, and dense and section constructors for matrices."""
 
+import contextlib
+import hashlib
+import io
+import json
+import os
 import random
 
+from hypothesis import strategies as st
+
 from alghom.algebra import Algebra, UnitWitness, preset, quotient_extension
+from alghom.cli import main
 from alghom.complexes import (
     ChainComplex, ChainMap, ShortExactSequenceOfComplexes, check_complex,
     check_ses, connecting_homomorphism, dualize, dualize_map, homology_at,
     induced_map_on_homology, long_exact_sequence, require_complex,
 )
-from alghom.corpus import _coordinate_ideal, build
+from alghom.corpus import CORPUS, _coordinate_ideal, build
+from alghom.fileio import dump_document
 from alghom.hochschild import _build_complex
 from alghom.linalg import (
     Cokernel, Matrix, ONE, Q, Subspace, ZERO, _echelon, _shared_rref, hstack,
@@ -378,10 +388,40 @@ BASIS_CHANGE = ((2, 1, 1), (1, 1, 1), (1, 1, 2))
 BASIS_CHANGE_DET_4 = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
 
+@st.composite
+def changes_of_basis(draw, d: int):
+    """d x d integer matrices S with det S = 1, -1 or 4, drawn as P L U:
+    P permutes the rows of L U, L is unit lower triangular, and U upper
+    triangular with +-1 on its diagonal, its first entry scaled to 4 up
+    to sign when det 4 is drawn.  Det +-1 keeps integral structure
+    constants integral; det 4 may give fractional ones."""
+    perm = draw(st.permutations(range(d)))
+    L = [[int(r == c) for c in range(d)] for r in range(d)]
+    U = [[0] * d for _ in range(d)]
+    for r in range(d):
+        U[r][r] = draw(st.sampled_from((1, -1)))
+        for c in range(r):
+            L[r][c] = draw(st.integers(-2, 2))
+            U[c][r] = draw(st.integers(-2, 2))
+    inversions = sum(perm[a] > perm[b] for b in range(d) for a in range(b))
+    det = (-1) ** inversions
+    for r in range(d):
+        det *= U[r][r]
+    if draw(st.booleans()):
+        U[0][0] *= 4 * det
+    LU = [[sum(L[r][k] * U[k][c] for k in range(d)) for c in range(d)]
+          for r in range(d)]
+    S = [None] * d
+    for r in range(d):
+        S[perm[r]] = tuple(LU[r])
+    return tuple(S)
+
+
 def rebased(ext, S=BASIS_CHANGE):
-    """ext with its 3-dimensional A rewritten in the basis f = S e and
-    rebuilt with quotient_extension, so that the ideal is no longer
-    spanned by basis vectors."""
+    """ext with its d-dimensional A rewritten in the basis f = S e, for
+    a d x d integer S of nonzero determinant, and rebuilt with
+    quotient_extension, so that the ideal need not be spanned by basis
+    vectors."""
     d = ext.A.dim
     assert d == len(S)
     S_inv = solve_many(from_dense(S), Matrix.identity(d))
@@ -529,6 +569,17 @@ def contraction_by_matrices(K: ChainComplex, unit: UnitWitness, n: int) -> Matri
     return out
 
 
+def coordinate_map(source, target, positions, project=False) -> ChainMap:
+    """Coordinate k of source to coordinate positions[n][k] of target;
+    with project, the projection of source onto those coordinates.  The
+    oracle, through the checked Matrix constructor, for the maps that
+    come with the pieces of hochschild._restrict."""
+    return ChainMap(source, target, [Matrix(
+        target.dims[n], source.dims[n],
+        {(k, p) if project else (p, k): 1 for k, p in enumerate(pos)})
+        for n, pos in enumerate(positions)])
+
+
 def _corner_ideal(corner, ideal):
     """A corner's B as A, over the coordinate ideal of the indices
     ideal: A has only the left (or only the right) unit of that B."""
@@ -543,3 +594,28 @@ ONE_SIDED = {
     "right-A-over-A": lambda: _corner_ideal("right_unital_corner", [0, 1]),
     "zero_mult": lambda: _coordinate_ideal(preset("zero_mult", d=2), [0]),
 }
+
+
+def cli_digest(*argv) -> str:
+    """The sha256 of what main(argv) gives a user, run in process: the
+    JSON list [exit code, stdout, stderr]."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def excision_cli_digests(directory) -> dict:
+    """{name: {degree: {format: cli_digest}}} of `alghom excision F
+    --max-degree D --format json|text` for each corpus extension, written
+    to F in directory by dump_document, and D = 0..3: the 72 runs whose
+    bytes tests/data/cli_digests.json pins."""
+    digests = {}
+    for name in sorted(CORPUS):
+        path = os.path.join(str(directory), name + ".json")
+        dump_document(build(name), path)
+        digests[name] = {str(n): {fmt: cli_digest(
+            "excision", path, "--max-degree", str(n), "--format", fmt)
+            for fmt in ("json", "text")} for n in range(4)}
+    return digests

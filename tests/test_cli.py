@@ -18,6 +18,11 @@ from alghom.excision import check_bar_invariance, excision_report
 from alghom.fileio import dump_document, load_document
 from alghom.linalg import Q
 
+from support import excision_cli_digests
+
+CLI_DIGESTS = os.path.join(os.path.dirname(__file__), "data",
+                           "cli_digests.json")
+
 
 @pytest.fixture
 def m2_file(tmp_path):
@@ -492,6 +497,18 @@ def test_an_extension_over_the_cap_is_refused_quickly(capsys, tmp_path):
     assert err == ("degree cap exceeded: degree 5 over a 300-dimensional "
                    "algebra needs 729000000000000 basis tensors (cap "
                    "1000000); pass force to override\n")
+
+
+def test_excision_output_matches_recorded_digests(tmp_path):
+    """The exit code, stdout and stderr of `alghom excision F
+    --max-degree D --format json|text` for the nine corpus files and
+    D = 0..3, run through main in process, hash to the digests recorded
+    in tests/data/cli_digests.json before the read-off's coordinate maps
+    were built by _restrict: the text rendering, the indented JSON and
+    the exit codes stay byte-identical, not only the report dict."""
+    with open(CLI_DIGESTS) as fh:
+        recorded = json.load(fh)
+    assert excision_cli_digests(tmp_path) == recorded
 
 
 def test_cli_as_a_process_exits_with_its_codes(tmp_path, m2_file):

@@ -14,24 +14,29 @@ import os
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alghom import complexes, excision, hochschild, linalg
 from alghom.algebra import (
-    preset, quotient_extension, unit_witness, validate_extension,
+    AlgebraHom, Extension, preset, quotient_extension, unit_witness,
+    validate_extension,
 )
 from alghom.complexes import (
     ChainMap, check_chain_map, check_ses, dualize_map, induced_map_on_homology,
 )
-from alghom.corpus import CORPUS, FAILURE_CORPUS, UNITAL_CORPUS, build
+from alghom.corpus import (
+    CORPUS, FAILURE_CORPUS, UNITAL_CORPUS, _coordinate_ideal, build,
+)
 from alghom.excision import (
     THEORIES, SurrogateNotMet, amenable_scenario_check, build_theory,
     check_bar_invariance, check_hlgy_cohlgy_equivalence, excision_report,
 )
-from alghom.hochschild import adapted_extension
+from alghom.hochschild import DegreeCapExceeded, adapted_extension
 from alghom.linalg import Matrix, format_q
 
 from support import (
-    BASIS_CHANGE_DET_4, complex_one_degree_further, m3_plus_q, rebased,
+    BASIS_CHANGE_DET_4, ONE_SIDED, changes_of_basis,
+    complex_one_degree_further, m3_plus_q, rebased,
 )
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data",
@@ -310,6 +315,31 @@ def test_report_rejects_negative_degree():
         excision_report(build("split_product"), -1)
 
 
+def test_a_report_over_the_cap_is_refused_before_any_sized_work(monkeypatch):
+    """excision_report meets the degree cap right after validation: a
+    valid extension over it is refused before adapted_extension (a solve
+    over dim^2 products) and before B's unit search, and an invalid one
+    over it is still refused as invalid."""
+    calls = []
+
+    def counted(real):
+        def wrapped(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return wrapped
+
+    for name in ("adapted_extension", "unit_witness"):
+        monkeypatch.setattr(excision, name, counted(getattr(excision, name)))
+    ext = _coordinate_ideal(preset("zero_mult", d=16), range(15))
+    with pytest.raises(DegreeCapExceeded,
+                       match="degree 5 over a 16-dimensional algebra"):
+        excision_report(ext, 3)
+    zero_i = AlgebraHom(ext.B, ext.A, Matrix.zero(16, 15))
+    with pytest.raises(ValueError, match="invalid extension: .*i injective"):
+        excision_report(Extension(ext.B, ext.A, ext.D, zero_i, ext.j), 3)
+    assert calls == []
+
+
 def _report_with(inexact=(), betti=True):
     """The fields of an excision report that the equivalence view reads:
     the six candidate sequences, exact unless named in inexact."""
@@ -486,6 +516,40 @@ def test_report_is_invariant_under_non_unimodular_rebasing(name):
                for c in prod.values())
     assert (_without_unit_element(excision_report(moved, 2))
             == _without_unit_element(excision_report(ext, 2)))
+
+
+REBASED = {name: functools.partial(build, name)
+           for name in sorted(CORPUS) if build(name).A.dim == 3}
+REBASED.update(ONE_SIDED)
+
+
+@functools.lru_cache(maxsize=None)
+def _report_at_2(name):
+    return _without_unit_element(excision_report(REBASED[name](), 2))
+
+
+@pytest.mark.parametrize("name", sorted(REBASED))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_read_off_survives_seeded_changes_of_basis(name, data):
+    """In a seeded integral basis f = S e of A, det S = +-1 or 4, the
+    adapted basis and the read-off give the report of the original basis
+    at degree 2, except for the unit element; Wodzicki's implication
+    holds (bar homology of B vanishes, so all six candidate sequences
+    are exact); and per theory and group, homology and cohomology have
+    the same dims."""
+    ext = REBASED[name]()
+    S = data.draw(changes_of_basis(ext.A.dim), label="S")
+    r = excision_report(rebased(ext, S), 2)
+    assert _without_unit_element(r) == _report_at_2(name)
+    if r["hypothesis"]["bar_homology_vanishes"]:
+        assert all(seq["exact"] for seq in r["sequences"])
+    for theory in THEORIES:
+        hom, coh = (excision._record(r["sequences"], "%s %s" % (theory, side))
+                    for side in ("homology", "cohomology"))
+        for group in "BAD":
+            assert (excision._node_dims(hom, group)
+                    == excision._node_dims(coh, group)), (theory, group)
 
 
 def test_report_drops_each_theory_before_the_next(monkeypatch):

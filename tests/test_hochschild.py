@@ -15,8 +15,9 @@ from alghom.algebra import (
     validate_extension,
 )
 from alghom.complexes import (
-    ChainComplex, check_chain_map, check_complex, cohomology_dims, dualize,
-    homology_at, homology_dims, induced_map_on_homology, long_exact_sequence,
+    ChainComplex, ChainMap, check_chain_map, check_complex, cohomology_dims,
+    dualize, homology_at, homology_dims, induced_map_on_homology,
+    long_exact_sequence,
 )
 from alghom.corpus import CORPUS, build
 from alghom.excision import build_theory
@@ -31,7 +32,7 @@ from alghom.linalg import Matrix, ONE, Q, ZERO, format_q, kernel_basis, rank
 
 from support import (
     ONE_SIDED, basis_dims, complex_one_degree_further,
-    contraction_by_matrices, from_dense, kron_power, rebased,
+    contraction_by_matrices, coordinate_map, from_dense, kron_power, rebased,
     rep_basis_on_hstack, section, verify_kernel_span,
 )
 
@@ -336,6 +337,81 @@ def test_read_off_pieces_match_elimination_oracles(name, theory):
         assert check_chain_map(psi) is None
 
 
+def _slot_counts(ext, C_A, orbits):
+    """The B-slot count of each coordinate of C_A: per orbit
+    representative when C_A is Connes' complex with those orbits."""
+    counts = hochschild._b_slot_counts(ext, C_A.top_degree)
+    if orbits is None:
+        return counts
+    return [[counts[n][rep] for rep in o.reps] for n, o in enumerate(orbits)]
+
+
+def _assert_maps_match_coordinate_maps(C_A, counts, pieces):
+    """incl, comp and map_ad of pieces, read off C_A by counts, equal
+    coordinate_map on the index lists of Ker, C(B) and C(D) in C_A,
+    with C(B)'s found in Ker by one dict per degree: the same matrices
+    between the same complexes, entry types included."""
+    ker = [[k for k, c in enumerate(cn) if c] for cn in counts]
+    only_b = [[k for k, c in enumerate(cn) if c == n + 1]
+              for n, cn in enumerate(counts)]
+    no_b = [[k for k, c in enumerate(cn) if not c] for cn in counts]
+    in_ker = [{t: k for k, t in enumerate(kn)} for kn in ker]
+    want = (coordinate_map(pieces.sub, C_A, ker),
+            coordinate_map(pieces.CB, pieces.sub,
+                           [[at[t] for t in ob]
+                            for at, ob in zip(in_ker, only_b)]),
+            coordinate_map(C_A, pieces.CD, no_b, project=True))
+    for got, ref in zip((pieces.incl, pieces.comp, pieces.map_ad), want):
+        assert got.source is ref.source and got.target is ref.target
+        assert got.components == ref.components
+        assert ([{k: type(v) for k, v in m.entries.items()}
+                 for m in got.components]
+                == [{k: type(v) for k, v in m.entries.items()}
+                    for m in ref.components])
+
+
+@pytest.mark.parametrize("theory", ["simplicial", "bar", "cyclic"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_read_off_maps_match_their_coordinate_construction(name, theory):
+    """The maps that come with the pieces of an adapted extension, each
+    from one _restrict and C(B)'s cut from Ker, are the coordinate maps
+    of their index lists."""
+    ext = adapted_extension(build(name))
+    C_A, orbits = _direct(theory, ext.A, 2)
+    if orbits is None:
+        pieces = kernel_subcomplex(ext, C_A)
+    else:
+        pieces = cyclic_kernel_subcomplex(ext, (C_A, orbits))
+    _assert_maps_match_coordinate_maps(
+        C_A, _slot_counts(ext, C_A, orbits), pieces)
+
+
+@pytest.mark.parametrize("theory", ["simplicial", "bar", "cyclic"])
+@pytest.mark.parametrize("name", ["nilpotent_augmentation",
+                                  "nilpotent_corner", "right_unital_corner"])
+def test_read_off_maps_match_when_b_is_not_first(name, theory):
+    """In A's own basis these ideals are spanned by basis vectors that
+    do not come first.  In the adapted basis every tensor before a
+    tensor of C(B) has a B slot in front, so its position in Ker is its
+    index in C(A); here it is not, and comp must take the positions in
+    Ker.  The maps still match, and C(B) is B's own complex."""
+    ext = build(name)
+    in_b = {next(iter(col)) for col in ext.i.matrix.column_dicts()}
+    assert 0 not in in_b
+    C_A, orbits = _direct(theory, ext.A, 2)
+    d = ext.A.dim
+    counts = [[int(s in in_b) for s in range(d)]]
+    for _ in range(C_A.top_degree):
+        counts.append([c + (s in in_b) for c in counts[-1] for s in range(d)])
+    if orbits is not None:
+        counts = [[counts[n][rep] for rep in o.reps]
+                  for n, o in enumerate(orbits)]
+    pieces = hochschild._read_off(C_A, counts)
+    _assert_maps_match_coordinate_maps(C_A, counts, pieces)
+    CB = _direct(theory, ext.B, 2)[0]
+    assert (pieces.CB.dims, pieces.CB.diffs) == (CB.dims, CB.diffs)
+
+
 def _report_complexes(pieces):
     """C(A), Ker, C(B) and C(D) of a theory, and their duals: the
     complexes whose homology bases excision_report reads."""
@@ -458,14 +534,12 @@ def test_a_map_that_is_not_a_chain_map_is_caught_at_construction(theory):
     read-off refuses it before any map exists."""
     ext = _non_ideal_extension()
     C_A, orbits = _direct(theory, ext.A, 1)
-    counts = hochschild._b_slot_counts(ext, C_A.top_degree)
-    if orbits is not None:
-        counts = [[counts[n][rep] for rep in o.reps]
-                  for n, o in enumerate(orbits)]
-    ker = [[k for k, c in enumerate(cn) if c] for cn in counts]
-    # the same index lists, without the closure check
-    unchecked = hochschild._restrict(C_A, ker, sub=False)
-    incl = hochschild._coordinate_map(unchecked, C_A, ker)
+    ker = [[k for k, c in enumerate(cn) if c]
+           for cn in _slot_counts(ext, C_A, orbits)]
+    # the same index lists without the closure check, and the inclusion
+    # as the transpose of the projection that comes with them
+    unchecked, proj = hochschild._restrict(C_A, ker, sub=False)
+    incl = ChainMap(unchecked, C_A, [m.transpose() for m in proj.components])
     assert check_chain_map(incl) == 0
     with pytest.raises(ClosureViolation,
                        match="leaves the subcomplex at degree 0"):
